@@ -1,7 +1,6 @@
 //! The driver-side entry point: a handle on the simulated cluster.
 
 use crate::backend::{backend_kind_from_env, make_backend, BackendKind, ExecutorBackend};
-use crate::cache::BlockManager;
 use crate::env::env_parse;
 use crate::executor::ExecutorPool;
 use crate::failure::FailureInjector;
@@ -13,6 +12,7 @@ use crate::rdd::sources::ParallelizeRdd;
 use crate::rdd::Rdd;
 use crate::scheduler::{SchedulerService, SpeculationConfig};
 use crate::shuffle::ShuffleService;
+use crate::store::{BlockKey, BlockStore, CACHED, SHUFFLE};
 use crate::Data;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -64,7 +64,8 @@ pub(crate) struct ContextInner {
     /// threads join on drop.
     pub(crate) backend: Arc<dyn ExecutorBackend>,
     pub(crate) shuffle: ShuffleService,
-    pub(crate) cache: BlockManager,
+    /// Cached partitions and shuffle blocks, both tiers.
+    pub(crate) blocks: BlockStore,
     pub(crate) metrics: Metrics,
     pub(crate) failures: FailureInjector,
     next_rdd_id: AtomicUsize,
@@ -82,9 +83,6 @@ pub(crate) struct ContextInner {
     pub(crate) planner: PlannerConfig,
     /// When the driver duplicates straggling task attempts.
     pub(crate) speculation: SpeculationConfig,
-    /// Whether crossing the memory watermark demotes cold blocks to the
-    /// on-disk spill tier (instead of only shedding/queueing work).
-    pub(crate) spill_enabled: bool,
     /// Heartbeat/watchdog/quarantine thresholds for the driver's health
     /// monitor.
     pub(crate) health: HealthConfig,
@@ -444,7 +442,10 @@ impl SpangleContextBuilder {
                 pool,
                 backend,
                 shuffle: ShuffleService::default(),
-                cache: BlockManager::default(),
+                blocks: BlockStore::new(
+                    self.admission.memory_high_watermark_bytes,
+                    self.spill_to_disk,
+                ),
                 metrics: Metrics::with_history(self.job_report_history),
                 failures,
                 next_rdd_id: AtomicUsize::new(0),
@@ -456,7 +457,6 @@ impl SpangleContextBuilder {
                 admission: self.admission,
                 planner: self.planner,
                 speculation: self.speculation,
-                spill_enabled: self.spill_to_disk,
                 health: self.health,
                 backoff: self.backoff,
             }),
@@ -569,10 +569,11 @@ impl SpangleContext {
             self.num_executors()
         );
         let incarnation = self.inner.pool.kill(executor);
-        let (shuffle_blocks_dropped, shuffle_bytes_dropped) =
-            self.inner.shuffle.discard_executor(executor);
-        let (cached_partitions_dropped, cached_bytes_dropped) =
-            self.inner.cache.discard_executor(executor);
+        self.inner.shuffle.discard_executor(executor);
+        let [shuffle, cached] = self
+            .inner
+            .blocks
+            .discard(|_, origin| origin.lives_on(executor));
         // The dead incarnation's worker process (and every block it held)
         // goes with it; the backend seats a replacement for the new epoch.
         self.inner.backend.on_executor_killed(executor, incarnation);
@@ -580,10 +581,10 @@ impl SpangleContext {
         ExecutorLoss {
             executor,
             incarnation,
-            shuffle_blocks_dropped,
-            shuffle_bytes_dropped,
-            cached_partitions_dropped,
-            cached_bytes_dropped,
+            shuffle_blocks_dropped: shuffle.0,
+            shuffle_bytes_dropped: shuffle.1,
+            cached_partitions_dropped: cached.0,
+            cached_bytes_dropped: cached.1,
         }
     }
 
@@ -622,61 +623,29 @@ impl SpangleContext {
     /// block; the next access recomputes it from lineage. Counted in the
     /// `partitions_evicted` metric when a block was actually present.
     pub fn evict_cached_partition(&self, rdd_id: usize, partition: usize) -> bool {
-        let evicted = self
-            .inner
-            .cache
-            .evict(crate::cache::CacheKey { rdd_id, partition });
+        let key = BlockKey::Cached { rdd_id, partition };
+        let evicted = self.inner.blocks.discard(|k, _| *k == key)[CACHED].0 > 0;
         if evicted {
             self.metrics().add(MetricField::PartitionsEvicted, 1);
         }
         evicted
     }
 
-    /// Total bytes currently held by the block manager.
+    /// Bytes of cached partitions currently resident in memory.
     pub fn cached_bytes(&self) -> usize {
-        self.inner.cache.resident_bytes()
+        self.inner.blocks.resident_bytes(CACHED)
     }
 
-    /// Total bytes currently held by the shuffle service.
+    /// Bytes of shuffle blocks currently resident in memory.
     pub fn shuffle_resident_bytes(&self) -> usize {
-        self.inner.shuffle.resident_bytes()
+        self.inner.blocks.resident_bytes(SHUFFLE)
     }
 
-    /// Bytes currently held by the on-disk spill tiers of the shuffle
-    /// service and the block manager together (framed file sizes). This is
-    /// the live gauge; the monotone high-water mark is
-    /// [`crate::MetricsSnapshot::disk_resident_bytes`].
+    /// Bytes currently held by the block store's on-disk spill tier
+    /// (framed file sizes). This is the live gauge; the monotone
+    /// high-water mark is [`crate::MetricsSnapshot::disk_resident_bytes`].
     pub fn disk_resident_bytes(&self) -> usize {
-        self.inner.shuffle.disk_bytes() + self.inner.cache.disk_bytes()
-    }
-
-    /// Brings resident cache + shuffle memory back under the admission
-    /// watermark by demoting cold blocks to the spill tier: shuffle blocks
-    /// first (their reads already pay a fetch), then cached partitions.
-    /// Spills down to a quarter below the watermark so one deposit does
-    /// not thrash the tier boundary. Returns whether residency is below
-    /// the watermark afterwards — `false` means the remaining blocks are
-    /// unspillable (or spilling is disabled) and admission control should
-    /// treat memory as saturated.
-    pub(crate) fn enforce_memory_watermark(&self) -> bool {
-        let watermark = self.inner.admission.memory_high_watermark_bytes;
-        if watermark == usize::MAX {
-            return true;
-        }
-        let resident = self.cached_bytes() + self.shuffle_resident_bytes();
-        if resident < watermark {
-            return true;
-        }
-        if !self.inner.spill_enabled {
-            return false;
-        }
-        let target = watermark - watermark / 4;
-        let need = resident - target;
-        let freed = self.inner.shuffle.spill_up_to(self, need);
-        if freed < need {
-            self.inner.cache.spill_up_to(self, need - freed);
-        }
-        self.cached_bytes() + self.shuffle_resident_bytes() < watermark
+        self.inner.blocks.disk_bytes()
     }
 
     /// Cumulative nanoseconds each executor has spent running task bodies

@@ -676,6 +676,11 @@ impl ExecutorPool {
     /// tasks running at shutdown are cancelled so a cooperative straggler
     /// cannot hang the teardown forever. Idempotent: later calls
     /// (including the one from `Drop`) are no-ops.
+    ///
+    /// A task body can drop the last handle to the pool (say, the last
+    /// `SpangleContext` clone), which shuts the pool down from one of its
+    /// own workers. Joining yourself deadlocks, so that worker is detached
+    /// instead: the queues are closed, and it exits once its task returns.
     pub fn shutdown(&self) {
         self.queues.close();
         self.heartbeater_stop.store(true, Ordering::SeqCst);
@@ -686,7 +691,9 @@ impl ExecutorPool {
         }
         let handles = std::mem::take(&mut *self.handles.lock());
         for handle in handles {
-            let _ = handle.join();
+            if handle.thread().id() != std::thread::current().id() {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -937,6 +944,33 @@ mod tests {
         assert!(
             pool.tasks_stolen() >= 1,
             "executor 1 must have drained the wedged sibling's backlog"
+        );
+    }
+
+    /// Regression: a task that drops the last handle to the pool shuts it
+    /// down from a worker thread, and the join of that worker's own
+    /// handle panicked with "Resource deadlock avoided".
+    #[test]
+    fn dropping_the_last_pool_handle_inside_a_task_does_not_self_join() {
+        let pool = Arc::new(ExecutorPool::new(2));
+        let (release_tx, release_rx) = unbounded::<()>();
+        let (done_tx, done_rx) = unbounded();
+        let last_handle = Arc::clone(&pool);
+        pool.submit(
+            0,
+            Box::new(move |_: &TaskInfo| {
+                // Hold the handle until the submitter has dropped its own.
+                let _ = release_rx.recv();
+                let dropped = std::panic::catch_unwind(AssertUnwindSafe(move || drop(last_handle)));
+                done_tx.send(dropped.is_ok()).unwrap();
+            }),
+        )
+        .unwrap();
+        drop(pool);
+        release_tx.send(()).unwrap();
+        assert!(
+            done_rx.recv().unwrap(),
+            "shutting the pool down from its own worker must not join that worker"
         );
     }
 

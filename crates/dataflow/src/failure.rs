@@ -6,7 +6,8 @@
 //! ([`FailureInjector::kill_executor_after`] arms a kill that fires after
 //! an executor finishes its Nth task, taking that task's attempt and every
 //! block of the dead incarnation with it); dropping individual cached
-//! blocks is done directly through [`crate::cache::BlockManager::evict`].
+//! blocks is done directly through
+//! [`crate::SpangleContext::evict_cached_partition`].
 //!
 //! For the health-monitoring layer there are three further injections that
 //! model *silent* failure modes — the kind the driver must detect on its

@@ -21,7 +21,7 @@
 //! * all shuffled records pass through an in-memory shuffle service that
 //!   charges their deep size ([`MemSize`]) to job [`metrics`], so the
 //!   paper's network-volume arguments stay measurable;
-//! * partitions may be cached ([`Rdd::persist`]) in the block manager, and
+//! * partitions may be cached ([`Rdd::persist`]) in the block store, and
 //!   lost blocks or failed task attempts (see [`failure`]) are recovered by
 //!   lineage recomputation, exactly like Spark's fault-tolerance story;
 //! * the whole *executor* is a failure domain: every shuffle block and
@@ -39,7 +39,6 @@
 //! precisely the set of mechanisms the Spangle evaluation reasons about.
 
 pub mod backend;
-pub mod cache;
 pub mod context;
 pub(crate) mod env;
 pub mod executor;
@@ -56,6 +55,7 @@ pub mod remote;
 pub mod scheduler;
 pub mod shuffle;
 pub(crate) mod spill;
+pub(crate) mod store;
 pub mod sync;
 pub mod wire;
 

@@ -690,7 +690,7 @@ pub struct MetricsSnapshot {
     pub shuffle_read_bytes: u64,
     /// Records written to the shuffle service.
     pub shuffle_records: u64,
-    /// Persisted partitions served from the block manager.
+    /// Persisted partitions served from the block store.
     pub cache_hits: u64,
     /// Persisted partitions that had to be (re)computed.
     pub cache_misses: u64,

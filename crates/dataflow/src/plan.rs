@@ -9,7 +9,7 @@
 //!    (map/filter/flat_map/map_partitions) execute as one fused streaming
 //!    task: elements flow through the composed operators without an
 //!    intermediate `Arc<Vec<T>>` per lineage node. Persisted nodes are
-//!    barriers (they must materialise into the block manager), and chains
+//!    barriers (they must materialise into the block store), and chains
 //!    through a multi-consumer node are not *counted* as fused because the
 //!    node's work is recomputed per consumer either way. The rewrite is
 //!    purely physical: lineage, cache semantics, and recovery are
@@ -91,7 +91,7 @@ pub struct PlanNodeInfo {
     /// partitioner signature (0, 1, or — for a cogroup — up to 2).
     pub elided_shuffles: usize,
     /// Persist-marked: a fusion barrier, since the node's partitions must
-    /// materialise into the block manager.
+    /// materialise into the block store.
     pub persisted: bool,
 }
 

@@ -9,12 +9,12 @@ pub mod pair;
 pub mod sources;
 pub mod transforms;
 
-use crate::cache::CacheKey;
 use crate::context::SpangleContext;
 use crate::metrics::MetricField;
 use crate::partitioner::PartitionerSig;
 use crate::plan::PlanNodeInfo;
 use crate::scheduler::{self, JobError, TaskContext};
+use crate::store::{BlockKey, Lookup};
 use crate::{Data, MemSize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -170,7 +170,7 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Marks this dataset for caching: the first action materialises each
-    /// partition into the block manager, later actions reuse it.
+    /// partition into the block store, later actions reuse it.
     pub fn persist(&self) -> &Self {
         self.node.base().persist.store(true, Ordering::Relaxed);
         self
@@ -179,7 +179,12 @@ impl<T: Data> Rdd<T> {
     /// Drops the cached partitions (the persistence mark stays, so the next
     /// action re-caches).
     pub fn unpersist(&self) {
-        let dropped = self.context().inner.cache.evict_rdd(self.id());
+        let id = self.id();
+        let [_, (dropped, _)] = self
+            .context()
+            .inner
+            .blocks
+            .discard(|key, _| matches!(key, BlockKey::Cached { rdd_id, .. } if *rdd_id == id));
         self.context()
             .metrics()
             .add(MetricField::PartitionsEvicted, dropped as u64);
@@ -195,11 +200,12 @@ impl<T: Data> Rdd<T> {
     pub(crate) fn iterator(&self, split: usize, tc: &TaskContext) -> Arc<Vec<T>> {
         let base = self.node.base();
         if base.persist.load(Ordering::Relaxed) {
-            let key = CacheKey {
+            let key = BlockKey::Cached {
                 rdd_id: base.id,
                 partition: split,
             };
-            if let Some(block) = base.ctx.inner.cache.get::<T>(&base.ctx, key) {
+            // A torn spill file reads as a miss: lineage recomputes it.
+            if let Lookup::Hit(block, _) = base.ctx.inner.blocks.get::<T>(&base.ctx, key) {
                 base.ctx.metrics().add(MetricField::CacheHits, 1);
                 return block;
             }
@@ -210,21 +216,10 @@ impl<T: Data> Rdd<T> {
             // and drop it on the floor if that incarnation was killed
             // mid-compute (a replacement attempt will re-cache it).
             if base.ctx.inner.pool.origin_is_live(tc.origin()) {
-                base.ctx
-                    .inner
-                    .cache
-                    .put(key, Arc::clone(&data), bytes, tc.origin());
-                // Cache deposits count against the memory watermark like
-                // shuffle deposits do: spill cold blocks first, then record
-                // the post-spill peaks.
-                base.ctx.enforce_memory_watermark();
-                base.ctx.metrics().raise(
-                    MetricField::CacheHighwaterBytes,
-                    base.ctx.inner.cache.resident_bytes() as u64,
-                );
-                base.ctx.metrics().raise(
-                    MetricField::MemoryHighwaterBytes,
-                    (base.ctx.cached_bytes() + base.ctx.shuffle_resident_bytes()) as u64,
+                base.ctx.inner.blocks.put(
+                    &base.ctx,
+                    [(key, Arc::clone(&data), bytes)],
+                    tc.origin(),
                 );
             }
             return data;

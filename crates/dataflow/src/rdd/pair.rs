@@ -176,7 +176,8 @@ impl<K: Key, V: Data, C: Data> Drop for ShuffleDependency<K, V, C> {
         // Free the shuffle outputs when the last reader disappears so that
         // iterative jobs (20 PageRank rounds, hundreds of SGD steps) do not
         // accumulate dead blocks.
-        self.context().inner.shuffle.remove_shuffle(self.shuffle_id);
+        let ctx = self.context();
+        ctx.inner.shuffle.remove_shuffle(ctx, self.shuffle_id);
     }
 }
 
@@ -308,7 +309,7 @@ impl<K: Key, V: Data, C: Data> RddNode<(K, C)> for ShuffledRdd<K, V, C> {
                 let mut out: Vec<(K, C)> = Vec::new();
                 for map_id in 0..dep.num_map_partitions() {
                     cancellation_point();
-                    let block = ctx.inner.shuffle.fetch_block::<(K, C)>(
+                    let block = ctx.inner.blocks.fetch_shuffle::<(K, C)>(
                         &ctx,
                         BlockId {
                             shuffle_id: dep.shuffle_id,
@@ -324,7 +325,7 @@ impl<K: Key, V: Data, C: Data> RddNode<(K, C)> for ShuffledRdd<K, V, C> {
                 let mut merged: HashMap<K, C> = HashMap::new();
                 for map_id in 0..dep.num_map_partitions() {
                     cancellation_point();
-                    let block = ctx.inner.shuffle.fetch_block::<(K, C)>(
+                    let block = ctx.inner.blocks.fetch_shuffle::<(K, C)>(
                         &ctx,
                         BlockId {
                             shuffle_id: dep.shuffle_id,
@@ -357,7 +358,7 @@ impl<K: Key, V: Data, C: Data> RddNode<(K, C)> for ShuffledRdd<K, V, C> {
             let ctx = dep.context().clone();
             for map_id in 0..dep.num_map_partitions() {
                 cancellation_point();
-                let block = ctx.inner.shuffle.fetch_block::<(K, C)>(
+                let block = ctx.inner.blocks.fetch_shuffle::<(K, C)>(
                     &ctx,
                     BlockId {
                         shuffle_id: dep.shuffle_id,
@@ -413,7 +414,7 @@ impl<K: Key, V: Data> CoSide<K, V> {
                 let ctx = dep.context().clone();
                 for map_id in 0..dep.num_map_partitions() {
                     cancellation_point();
-                    let block = ctx.inner.shuffle.fetch_block::<(K, V)>(
+                    let block = ctx.inner.blocks.fetch_shuffle::<(K, V)>(
                         &ctx,
                         BlockId {
                             shuffle_id: dep.shuffle_id,

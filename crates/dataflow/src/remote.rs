@@ -465,7 +465,9 @@ pub fn remote_exchange(
             // round, then fail typed: recovery re-runs exactly those map
             // partitions, regenerating the buckets on live incarnations.
             for &map_id in &lost {
-                ctx.inner.shuffle.discard_map_output(shuffle_id, map_id);
+                ctx.inner
+                    .shuffle
+                    .discard_map_output(&ctx, shuffle_id, map_id);
             }
             panic_any(FetchFailedError {
                 shuffle_id,

@@ -737,21 +737,12 @@ impl AdmissionController {
 
     /// Whether the scheduler is saturated for new admissions: job slots
     /// full, or resident memory (cache + shuffle) still at the high
-    /// watermark *after* the spill tier has had a chance to demote cold
-    /// blocks to disk. Spilling comes before shedding: memory saturation
-    /// only queues or sheds work when the disk tier could not (or was not
-    /// allowed to) bring resident bytes back under the watermark. Also
-    /// raises the memory high-water-mark metric, since this is where
-    /// saturation is observed.
+    /// watermark *after* the block store's sweep demoted cold blocks to
+    /// disk. Spilling comes before shedding: memory saturation only queues
+    /// or sheds work when the disk tier could not (or was not allowed to)
+    /// bring resident bytes back under the watermark.
     fn saturated(ctx: &SpangleContext, running: usize) -> bool {
-        if running >= Self::effective_capacity(ctx) {
-            return true;
-        }
-        let under_watermark = ctx.enforce_memory_watermark();
-        let resident = (ctx.cached_bytes() + ctx.shuffle_resident_bytes()) as u64;
-        ctx.metrics()
-            .raise(MetricField::MemoryHighwaterBytes, resident);
-        !under_watermark
+        running >= Self::effective_capacity(ctx) || ctx.inner.blocks.saturated()
     }
 
     /// Planned tasks currently queued at `priority` (the unit of the
@@ -1673,7 +1664,7 @@ impl JobRun {
                 let per = self
                     .ctx
                     .inner
-                    .shuffle
+                    .blocks
                     .reduce_bucket_bytes(shuffle_id, stage.num_tasks);
                 for (acc, add) in bytes.iter_mut().zip(per) {
                     *acc = acc.saturating_add(add);
@@ -2491,7 +2482,7 @@ impl JobRun {
         // not wait out wedged bodies.
         self.cancel_all_inflight();
         for shuffle_id in self.owned.drain() {
-            self.ctx.inner.shuffle.abandon(shuffle_id);
+            self.ctx.inner.shuffle.abandon(&self.ctx, shuffle_id);
         }
         JobError {
             job_id: self.job_id,

@@ -5,12 +5,15 @@
 //! partition. This service plays the role of Spark's shuffle
 //! write/fetch path: map tasks deposit per-reduce-partition buckets, reduce
 //! tasks fetch them, and every byte that logically crosses the network is
-//! charged to the metrics.
+//! charged to the metrics. The blocks themselves live in the context's
+//! tiered block store, next to the cached partitions; this service keeps
+//! the bookkeeping around them: stage claims, the map-output registry and
+//! tombstones.
 //!
-//! Besides block storage, the service is the arbiter of *map-stage
-//! ownership*. Concurrent jobs (or sibling stages of one job) may share a
-//! shuffle dependency; `is_completed`-then-run was a check-then-act race
-//! that could run the same map stage twice. Schedulers now
+//! The service is the arbiter of *map-stage ownership*. Concurrent jobs
+//! (or sibling stages of one job) may share a shuffle dependency;
+//! `is_completed`-then-run was a check-then-act race that could run the
+//! same map stage twice. Schedulers now
 //! [`ShuffleService::try_claim`] a shuffle: exactly one caller becomes the
 //! owner and runs the stage, everyone else either reuses the completed
 //! output or registers a completion callback via
@@ -25,39 +28,22 @@
 //! The service is also executor-loss aware. Every block is attributed to
 //! the executor incarnation ([`BlockOrigin`]) that produced it, and every
 //! map task registers its output — even an all-empty one — in a
-//! per-shuffle registry ([`ShuffleService::register_map_output`]). When an
-//! executor dies, [`ShuffleService::discard_executor`] drops its blocks
-//! and registrations; a reduce task that later fetches a block whose map
-//! output is no longer registered panics with a typed
-//! [`FetchFailedError`] instead of silently reading an empty bucket. The
-//! scheduler catches that panic, claims the *recovery* of the shuffle
+//! per-shuffle registry ([`ShuffleService::commit_map_output`]). When an
+//! executor dies, [`ShuffleService::discard_executor`] drops its
+//! registrations (and the store its blocks); a reduce task that later
+//! fetches a block whose map output is no longer registered panics with a
+//! typed [`FetchFailedError`] instead of silently reading an empty bucket.
+//! The scheduler catches that panic, claims the *recovery* of the shuffle
 //! ([`ShuffleService::claim_recovery`] — the re-run analogue of
 //! [`ShuffleService::try_claim`]) and resubmits only the missing map
 //! partitions from lineage.
-//!
-//! # Memory tiers
-//!
-//! Blocks live in one of two tiers. They are deposited *resident* (the
-//! records stay on the heap behind an `Arc`, fetched zero-copy) and may be
-//! demoted to *spilled* (encoded with the [`crate::MemSize`] spill codec
-//! and written to a framed, checksummed spill file, heap bytes freed)
-//! when resident cache + shuffle memory crosses the admission watermark —
-//! see [`crate::SpangleContext`]'s `enforce_memory_watermark`. A fetch that
-//! touches a spilled block *rehydrates* it: the file is read back,
-//! verified, decoded, reinstated as resident, and the file deleted. Spill
-//! victims are picked coldest-first by a touch clock that every fetch
-//! bumps. Blocks whose element type opted out of the spill codec simply
-//! stay resident — spilling is an optimization, never a correctness
-//! requirement.
 
 use crate::executor::BlockOrigin;
 use crate::metrics::MetricField;
-use crate::spill::{SpillCodec, SpillStore};
-use crate::sync::{Mutex, RwLock, Subscribers};
+use crate::store::BlockKey;
+use crate::sync::{Mutex, Subscribers};
 use crate::{Data, SpangleContext};
-use std::any::Any;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Key of one shuffle block: output of map partition `map_id` destined for
@@ -70,33 +56,6 @@ pub struct BlockId {
     pub map_id: usize,
     /// Reduce-side partition the block is destined for.
     pub reduce_id: usize,
-}
-
-type BlockPayload = Arc<dyn Any + Send + Sync>;
-
-/// Where one block's records currently live.
-enum StoredBlock {
-    /// On the heap; fetches clone the `Arc`, not the records.
-    Resident(BlockPayload),
-    /// Encoded on disk in the service's spill store; `disk_len` is the
-    /// framed file size (kept so removal can release the accounted bytes).
-    Spilled { file: u64, disk_len: usize },
-}
-
-/// One deposited block with its tier, accounting, and spill identity.
-struct ShuffleEntry {
-    data: StoredBlock,
-    /// Deep size of the records (the logical, in-memory size — charged as
-    /// shuffle volume and counted in `resident_bytes` while resident).
-    bytes: usize,
-    origin: BlockOrigin,
-    /// Captured at deposit, where the element type is still concrete.
-    /// `None` means the type opted out of spilling; the block is pinned
-    /// resident.
-    codec: Option<SpillCodec>,
-    /// Last-fetch tick from the service clock; spilling evicts the block
-    /// with the smallest value first.
-    touch: AtomicU64,
 }
 
 /// A one-shot completion callback: `true` means the map stage completed,
@@ -112,9 +71,9 @@ enum MapStageState {
     Completed { num_maps: usize },
 }
 
-/// Panic payload raised by [`ShuffleService::fetch_block`] when the block's
-/// map output was lost after the map stage completed (the executor that
-/// produced it died). The scheduler downcasts this out of the task panic
+/// Panic payload raised by a shuffle fetch when the block's map output was
+/// lost after the map stage completed (the executor that produced it
+/// died). The scheduler downcasts this out of the task panic
 /// and turns it into [`crate::TaskError::FetchFailed`], which triggers
 /// lineage-based resubmission of exactly the missing map partitions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,10 +117,9 @@ pub enum ShuffleClaim {
     InFlight,
 }
 
-/// Stores shuffle blocks between stages and tracks map-stage ownership.
+/// Tracks map-stage ownership and which map outputs are registered.
 #[derive(Default)]
 pub struct ShuffleService {
-    blocks: RwLock<HashMap<BlockId, ShuffleEntry>>,
     /// Per-shuffle map-stage state; absent means "never run, unclaimed".
     stages: Mutex<HashMap<usize, MapStageState>>,
     /// Per-shuffle registry of which executor incarnation produced each map
@@ -177,148 +135,9 @@ pub struct ShuffleService {
     /// context-monotone and never reused, so the set only grows — one
     /// `usize` per GC'd shuffle over the context's life.
     removed: Mutex<HashSet<usize>>,
-    /// Bytes of the `Resident` tier, maintained under the `blocks` write
-    /// lock on every insert/remove/tier-flip so `resident_bytes` is an
-    /// O(1) load instead of a full map walk per deposit.
-    resident: AtomicUsize,
-    /// Monotone fetch clock feeding each entry's `touch`.
-    clock: AtomicU64,
-    /// On-disk tier for spilled blocks.
-    spill: SpillStore,
 }
 
 impl ShuffleService {
-    /// Asserts the O(1) resident counter against the ground-truth walk.
-    /// Called in debug builds by every mutating operation, *while still
-    /// holding the blocks write lock* — the counter is only ever updated
-    /// under that lock, so the comparison is exact, never racy.
-    fn debug_check_resident(&self, blocks: &HashMap<BlockId, ShuffleEntry>) {
-        debug_assert_eq!(
-            self.resident.load(Ordering::Relaxed),
-            blocks
-                .values()
-                .filter(|e| matches!(e.data, StoredBlock::Resident(_)))
-                .map(|e| e.bytes)
-                .sum::<usize>(),
-            "shuffle resident-bytes counter drifted from the block map"
-        );
-    }
-
-    /// Inserts a resident entry, keeping the resident counter and the spill
-    /// store consistent when an existing entry (either tier) is replaced.
-    fn install(
-        &self,
-        blocks: &mut HashMap<BlockId, ShuffleEntry>,
-        id: BlockId,
-        entry: ShuffleEntry,
-    ) {
-        if matches!(entry.data, StoredBlock::Resident(_)) {
-            self.resident.fetch_add(entry.bytes, Ordering::Relaxed);
-        }
-        if let Some(old) = blocks.insert(id, entry) {
-            self.release(&old);
-        }
-    }
-
-    /// Releases one entry's accounting: resident bytes for the in-memory
-    /// tier, the spill file for the disk tier. Caller holds the blocks
-    /// write lock (or exclusive ownership of a just-removed entry).
-    fn release(&self, entry: &ShuffleEntry) {
-        match entry.data {
-            StoredBlock::Resident(_) => {
-                self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
-            }
-            StoredBlock::Spilled { file, disk_len } => self.spill.remove(file, disk_len),
-        }
-    }
-
-    /// Deposits the bucket for one (map, reduce) pair. `bytes` is the deep
-    /// size of the records, charged as shuffle write volume.
-    ///
-    /// A deposit from a dead executor incarnation (killed while the map
-    /// task was running) is silently dropped — its blocks were already
-    /// discarded and the task's attempt is being replayed elsewhere, so
-    /// accepting the stale write would interleave two attempts' output.
-    ///
-    /// A deposit for a (shuffle, map) pair already registered by a
-    /// *different live* incarnation is also refused: that map partition has
-    /// a committed winner (see [`ShuffleService::commit_map_output`]'s
-    /// first-write-wins rule), and a late speculative loser writing through
-    /// this legacy path must not overwrite the winner's blocks. Deposits
-    /// from the registered origin itself remain allowed (recovery re-seeds
-    /// and put-then-register callers).
-    pub fn put_block<T: Data>(
-        &self,
-        ctx: &SpangleContext,
-        id: BlockId,
-        records: Vec<T>,
-        bytes: usize,
-        origin: BlockOrigin,
-    ) {
-        if !ctx.inner.pool.origin_is_live(origin) {
-            return;
-        }
-        if let Some(winner) = self
-            .outputs
-            .lock()
-            .get(&id.shuffle_id)
-            .and_then(|maps| maps.get(&id.map_id))
-        {
-            if *winner != origin && ctx.inner.pool.origin_is_live(*winner) {
-                return;
-            }
-        }
-        ctx.metrics()
-            .add(MetricField::ShuffleWriteBytes, bytes as u64);
-        ctx.metrics()
-            .add(MetricField::ShuffleRecords, records.len() as u64);
-        {
-            let mut blocks = self.blocks.write();
-            self.install(
-                &mut blocks,
-                id,
-                ShuffleEntry {
-                    data: StoredBlock::Resident(Arc::new(records)),
-                    bytes,
-                    origin,
-                    codec: SpillCodec::of::<T>(),
-                    touch: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
-                },
-            );
-            self.debug_check_resident(&blocks);
-        }
-        // Resident cache + shuffle memory is what admission control's high
-        // watermark is evaluated against; give the spill tier a chance to
-        // shed cold blocks first, then record the (post-spill) peak.
-        ctx.enforce_memory_watermark();
-        ctx.metrics().raise(
-            MetricField::MemoryHighwaterBytes,
-            (self.resident_bytes() + ctx.cached_bytes()) as u64,
-        );
-    }
-
-    /// Records that map partition `map_id` of `shuffle_id` deposited all
-    /// its (possibly empty) buckets. Every map task calls this once at the
-    /// end, so [`ShuffleService::fetch_block`] can tell a legitimately
-    /// empty bucket from one lost with its executor. Registrations from a
-    /// dead incarnation are dropped like stale block deposits.
-    pub fn register_map_output(
-        &self,
-        ctx: &SpangleContext,
-        shuffle_id: usize,
-        map_id: usize,
-        origin: BlockOrigin,
-    ) {
-        if !ctx.inner.pool.origin_is_live(origin) {
-            return;
-        }
-        self.outputs
-            .lock()
-            .entry(shuffle_id)
-            .or_default()
-            .insert(map_id, origin);
-    }
-
     /// Atomically deposits *all* buckets of one map task and registers its
     /// output, first-write-wins. Under speculative execution two attempts
     /// of the same map partition race; whichever commits first installs
@@ -328,8 +147,18 @@ impl ShuffleService {
     ///
     /// A commit loses when the (shuffle, map) pair is already registered
     /// by a live incarnation, or when the depositing incarnation itself is
-    /// dead (killed mid-task — same rule as [`ShuffleService::put_block`]).
-    /// Losing commits charge no shuffle-write volume.
+    /// dead: it was killed mid-task, its blocks were already discarded and
+    /// the attempt is being replayed elsewhere. Losing commits charge no
+    /// shuffle-write volume. Registering even an all-empty commit is how
+    /// a shuffle fetch tells a legitimately empty bucket from one lost
+    /// with its executor.
+    ///
+    /// Liveness is checked under the registry lock. A kill retires the
+    /// incarnation before it drops the registrations, so a commit either
+    /// lands before that drop (and its blocks are discarded with it) or
+    /// sees the dead incarnation and loses. Checked before the lock, a
+    /// commit racing the kill could register a dead map after the drop,
+    /// and once its blocks were discarded the map would read as empty.
     pub fn commit_map_output<T: Data>(
         &self,
         ctx: &SpangleContext,
@@ -338,10 +167,10 @@ impl ShuffleService {
         buckets: Vec<(usize, Vec<T>, usize)>,
         origin: BlockOrigin,
     ) -> bool {
+        let mut outputs = self.outputs.lock();
         if !ctx.inner.pool.origin_is_live(origin) {
             return false;
         }
-        let mut outputs = self.outputs.lock();
         let maps = outputs.entry(shuffle_id).or_default();
         if let Some(existing) = maps.get(&map_id) {
             if ctx.inner.pool.origin_is_live(*existing) {
@@ -351,216 +180,56 @@ impl ShuffleService {
         maps.insert(map_id, origin);
         let mut total_bytes = 0u64;
         let mut total_records = 0u64;
-        {
-            let mut blocks = self.blocks.write();
-            for (reduce_id, records, bytes) in buckets {
+        let deposits: Vec<_> = buckets
+            .into_iter()
+            .map(|(reduce_id, records, bytes)| {
                 total_bytes += bytes as u64;
                 total_records += records.len() as u64;
-                self.install(
-                    &mut blocks,
-                    BlockId {
-                        shuffle_id,
-                        map_id,
-                        reduce_id,
-                    },
-                    ShuffleEntry {
-                        data: StoredBlock::Resident(Arc::new(records)),
-                        bytes,
-                        origin,
-                        codec: SpillCodec::of::<T>(),
-                        touch: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
-                    },
-                );
-            }
-            self.debug_check_resident(&blocks);
-        }
+                let id = BlockId {
+                    shuffle_id,
+                    map_id,
+                    reduce_id,
+                };
+                (BlockKey::Shuffle(id), Arc::new(records), bytes)
+            })
+            .collect();
+        ctx.inner.blocks.put(ctx, deposits, origin);
         drop(outputs);
         ctx.metrics()
             .add(MetricField::ShuffleWriteBytes, total_bytes);
         ctx.metrics()
             .add(MetricField::ShuffleRecords, total_records);
-        ctx.enforce_memory_watermark();
-        ctx.metrics().raise(
-            MetricField::MemoryHighwaterBytes,
-            (self.resident_bytes() + ctx.cached_bytes()) as u64,
-        );
         true
     }
 
-    /// Fetches one bucket, charging shuffle read volume. Returns a shared
-    /// handle to the bucket's records — reduce tasks iterate the `Arc`
-    /// without cloning the underlying vector. Returns an empty block when
-    /// the map task produced nothing for this reduce partition. A spilled
-    /// block is rehydrated (read back, verified, reinstated resident)
-    /// transparently.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a [`FetchFailedError`] payload when the block is absent
-    /// *and* its map partition is not registered for a shuffle whose map
-    /// stage ran — or whose state was torn down by
-    /// [`ShuffleService::remove_shuffle`]: the output existed and was lost
-    /// (executor death, lineage GC, or a corrupt spill file), so the
-    /// caller must not treat it as empty. The scheduler converts this
-    /// panic into [`crate::TaskError::FetchFailed`] and recovers.
-    pub fn fetch_block<T: Data>(&self, ctx: &SpangleContext, id: BlockId) -> Arc<Vec<T>> {
-        loop {
-            // Fast path: resident block under the read lock. A spilled hit
-            // captures the file identity and rehydrates outside all locks.
-            let (file, disk_len, codec) = {
-                let guard = self.blocks.read();
-                let Some(entry) = guard.get(&id) else { break };
-                match &entry.data {
-                    StoredBlock::Resident(payload) => {
-                        entry.touch.store(
-                            self.clock.fetch_add(1, Ordering::Relaxed),
-                            Ordering::Relaxed,
-                        );
-                        ctx.metrics()
-                            .add(MetricField::ShuffleReadBytes, entry.bytes as u64);
-                        return payload.clone().downcast::<Vec<T>>().expect(
-                            "shuffle block type mismatch: reduce side fetched a different \
-                             type than the map side wrote",
-                        );
-                    }
-                    StoredBlock::Spilled { file, disk_len } => (
-                        *file,
-                        *disk_len,
-                        entry.codec.expect("spilled block without a codec"),
-                    ),
-                }
-            };
-            let decoded = self
-                .spill
-                .read(file)
-                .and_then(|payload| codec.decode(&payload));
-            let mut blocks = self.blocks.write();
-            let Some(entry) = blocks.get_mut(&id) else {
-                break;
-            };
-            match entry.data {
-                // Raced with another rehydrator (or a re-deposit): take the
-                // read path again.
-                StoredBlock::Resident(_) => continue,
-                StoredBlock::Spilled { file: f, .. } if f != file => continue,
-                StoredBlock::Spilled { .. } => {}
-            }
-            let Some(payload) = decoded else {
-                // The spill file is torn or unreadable: the block is gone
-                // for real. Drop the entry and its registration so this
-                // surfaces exactly like executor loss — typed, recoverable
-                // from lineage — instead of decoding garbage.
-                let entry = blocks.remove(&id).expect("entry checked above");
-                self.release(&entry);
-                self.debug_check_resident(&blocks);
-                drop(blocks);
-                if let Some(maps) = self.outputs.lock().get_mut(&id.shuffle_id) {
-                    maps.remove(&id.map_id);
-                }
-                std::panic::panic_any(FetchFailedError {
-                    shuffle_id: id.shuffle_id,
-                    map_id: id.map_id,
-                });
-            };
-            entry.data = StoredBlock::Resident(payload.clone());
-            entry.touch.store(
-                self.clock.fetch_add(1, Ordering::Relaxed),
-                Ordering::Relaxed,
-            );
-            let bytes = entry.bytes;
-            self.resident.fetch_add(bytes, Ordering::Relaxed);
-            self.spill.remove(file, disk_len);
-            self.debug_check_resident(&blocks);
-            drop(blocks);
-            ctx.metrics().add(MetricField::BlocksRehydrated, 1);
-            ctx.metrics()
-                .add(MetricField::ShuffleReadBytes, bytes as u64);
-            // Rehydrating grew the resident tier; let the watermark demote
-            // a colder block in exchange if memory is tight.
-            ctx.enforce_memory_watermark();
-            ctx.metrics().raise(
-                MetricField::MemoryHighwaterBytes,
-                (self.resident_bytes() + ctx.cached_bytes()) as u64,
-            );
-            return payload
-                .downcast::<Vec<T>>()
-                .expect("shuffle block type mismatch after rehydrate");
-        }
-        // Absent. Registered-but-absent is a genuinely empty bucket.
-        let registered = self
-            .outputs
-            .lock()
-            .get(&id.shuffle_id)
-            .is_some_and(|maps| maps.contains_key(&id.map_id));
-        if registered {
-            return Arc::new(Vec::new());
-        }
-        // Unregistered: a tombstoned shuffle (lineage GC beat this fetch)
-        // or one whose map stage ran fails typed; a shuffle that never had
-        // stage state at all is a test-seeded block map — keep the
-        // historical empty-fetch behavior for those.
-        let removed = self.removed.lock().contains(&id.shuffle_id);
-        if removed || self.stages.lock().contains_key(&id.shuffle_id) {
-            std::panic::panic_any(FetchFailedError {
-                shuffle_id: id.shuffle_id,
-                map_id: id.map_id,
-            });
-        }
-        Arc::new(Vec::new())
+    /// Runs `read` under the registry lock, told whether the map output of
+    /// `id` is registered. Commits register a map and install its blocks
+    /// under that lock, so a read made here sees every block of a map it
+    /// is told is registered.
+    pub(crate) fn with_registration<R>(&self, id: BlockId, read: impl FnOnce(bool) -> R) -> R {
+        let outputs = self.outputs.lock();
+        read(
+            outputs
+                .get(&id.shuffle_id)
+                .is_some_and(|maps| maps.contains_key(&id.map_id)),
+        )
     }
 
-    /// Demotes cold resident blocks to the disk tier until roughly `need`
-    /// resident bytes are freed (or no spillable candidates remain).
-    /// Victims are picked least-recently-fetched first. Returns the bytes
-    /// actually freed. Blocks without a codec are skipped; an IO error
-    /// stops the sweep (memory pressure is better than cascading disk
-    /// failures).
-    pub(crate) fn spill_up_to(&self, ctx: &SpangleContext, need: usize) -> usize {
-        let mut freed = 0usize;
-        let mut spilled_blocks = 0u64;
-        let mut spilled_disk = 0u64;
-        {
-            let mut blocks = self.blocks.write();
-            let mut candidates: Vec<(BlockId, u64)> = blocks
-                .iter()
-                .filter(|(_, e)| e.codec.is_some() && matches!(e.data, StoredBlock::Resident(_)))
-                .map(|(id, e)| (*id, e.touch.load(Ordering::Relaxed)))
-                .collect();
-            candidates.sort_unstable_by_key(|&(_, touch)| touch);
-            for (id, _) in candidates {
-                if freed >= need {
-                    break;
-                }
-                let entry = blocks
-                    .get(&id)
-                    .expect("candidate vanished under write lock");
-                let StoredBlock::Resident(payload) = &entry.data else {
-                    continue;
-                };
-                let codec = entry.codec.expect("candidates are filtered on codec");
-                let encoded = codec.encode(payload.as_ref());
-                let Ok((file, disk_len)) = self.spill.write(&encoded) else {
-                    break;
-                };
-                let entry = blocks.get_mut(&id).expect("still under the write lock");
-                entry.data = StoredBlock::Spilled { file, disk_len };
-                self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
-                freed += entry.bytes;
-                spilled_blocks += 1;
-                spilled_disk += disk_len as u64;
-            }
-            self.debug_check_resident(&blocks);
+    /// Whether `shuffle_id` ever had stage state: its map stage ran, or
+    /// lineage GC tombstoned it. An unregistered map of such a shuffle lost
+    /// its output, while in a shuffle that never had state (a test-seeded
+    /// block map) it reads as an empty bucket.
+    pub(crate) fn has_run(&self, shuffle_id: usize) -> bool {
+        let removed = self.removed.lock().contains(&shuffle_id);
+        removed || self.stages.lock().contains_key(&shuffle_id)
+    }
+
+    /// Deregisters one map partition's output, so a later
+    /// [`ShuffleService::claim_recovery`] reports it missing.
+    pub(crate) fn lose_map_output(&self, shuffle_id: usize, map_id: usize) {
+        if let Some(maps) = self.outputs.lock().get_mut(&shuffle_id) {
+            maps.remove(&map_id);
         }
-        if spilled_blocks > 0 {
-            ctx.metrics()
-                .add(MetricField::BlocksSpilled, spilled_blocks);
-            ctx.metrics().add(MetricField::SpillBytes, spilled_disk);
-            ctx.metrics().raise(
-                MetricField::DiskResidentBytes,
-                ctx.disk_resident_bytes() as u64,
-            );
-        }
-        freed
     }
 
     /// Atomically claims the map stage of `shuffle_id`. At most one caller
@@ -654,7 +323,7 @@ impl ShuffleService {
     /// aborted attempt's stale ones. The shuffle is *not* tombstoned: a
     /// re-claim runs the stage again from scratch, so later fetches are
     /// legitimate.
-    pub fn abandon(&self, shuffle_id: usize) {
+    pub fn abandon(&self, ctx: &SpangleContext, shuffle_id: usize) {
         let mut stages = self.stages.lock();
         let abandoned = match stages.get(&shuffle_id) {
             Some(MapStageState::InFlight { .. }) => stages.remove(&shuffle_id),
@@ -662,24 +331,9 @@ impl ShuffleService {
         };
         drop(stages);
         if let Some(MapStageState::InFlight { waiters }) = abandoned {
-            self.outputs.lock().remove(&shuffle_id);
-            self.drop_blocks_of(shuffle_id);
+            self.drop_outputs(ctx, shuffle_id, None);
             waiters.fire(false);
         }
-    }
-
-    /// Drops every block (either tier) of one shuffle, releasing resident
-    /// bytes and spill files.
-    fn drop_blocks_of(&self, shuffle_id: usize) {
-        let mut blocks = self.blocks.write();
-        blocks.retain(|id, entry| {
-            let keep = id.shuffle_id != shuffle_id;
-            if !keep {
-                self.release(entry);
-            }
-            keep
-        });
-        self.debug_check_resident(&blocks);
     }
 
     /// Blocks until the map stage of `shuffle_id` is no longer in flight.
@@ -716,7 +370,7 @@ impl ShuffleService {
     /// The shuffle id is tombstoned: a straggling reduce fetch arriving
     /// after GC raises [`FetchFailedError`] instead of silently reading an
     /// empty bucket (its data *existed* — it is gone, not empty).
-    pub fn remove_shuffle(&self, shuffle_id: usize) {
+    pub fn remove_shuffle(&self, ctx: &SpangleContext, shuffle_id: usize) {
         let removed = self.stages.lock().remove(&shuffle_id);
         let had_state = removed.is_some();
         if let Some(MapStageState::InFlight { waiters }) = removed {
@@ -725,39 +379,21 @@ impl ShuffleService {
         if had_state {
             self.removed.lock().insert(shuffle_id);
         }
-        self.outputs.lock().remove(&shuffle_id);
-        self.drop_blocks_of(shuffle_id);
+        self.drop_outputs(ctx, shuffle_id, None);
     }
 
-    /// Drops every block and map-output registration produced by the given
-    /// executor (any incarnation), across all shuffles. Called when an
-    /// executor is killed. Returns `(blocks_dropped, bytes_dropped)`,
-    /// counting logical record bytes for blocks of both tiers — a spilled
-    /// block of a dead incarnation is deleted from disk, never rehydrated:
-    /// its producer's epoch is retired, so its data is as stale as a
-    /// resident block's would be.
+    /// Drops every map-output registration produced by the given executor
+    /// (any incarnation), across all shuffles; the store drops its blocks.
+    /// Called when an executor is killed.
     ///
     /// Completion state is deliberately left alone: a shuffle stays
     /// `Completed` with holes, and the holes surface as
     /// [`FetchFailedError`] on the next fetch so recovery is driven by the
     /// jobs that actually need the data.
-    pub fn discard_executor(&self, executor: usize) -> (usize, usize) {
+    pub fn discard_executor(&self, executor: usize) {
         for maps in self.outputs.lock().values_mut() {
             maps.retain(|_, origin| !origin.lives_on(executor));
         }
-        let mut blocks = self.blocks.write();
-        let before = blocks.len();
-        let mut bytes_dropped = 0;
-        blocks.retain(|_, entry| {
-            let keep = !entry.origin.lives_on(executor);
-            if !keep {
-                bytes_dropped += entry.bytes;
-                self.release(entry);
-            }
-            keep
-        });
-        self.debug_check_resident(&blocks);
-        (before - blocks.len(), bytes_dropped)
     }
 
     /// Drops one map partition's registered output (and its blocks) so a
@@ -767,19 +403,29 @@ impl ShuffleService {
     /// driver-side records survive — the referenced bytes died with a
     /// worker process — before failing the reduce with the matching
     /// [`FetchFailedError`].
-    pub fn discard_map_output(&self, shuffle_id: usize, map_id: usize) {
-        if let Some(maps) = self.outputs.lock().get_mut(&shuffle_id) {
-            maps.remove(&map_id);
-        }
-        let mut blocks = self.blocks.write();
-        blocks.retain(|id, entry| {
-            let keep = !(id.shuffle_id == shuffle_id && id.map_id == map_id);
-            if !keep {
-                self.release(entry);
+    pub fn discard_map_output(&self, ctx: &SpangleContext, shuffle_id: usize, map_id: usize) {
+        self.drop_outputs(ctx, shuffle_id, Some(map_id));
+    }
+
+    /// Drops the registrations and the blocks (either tier) of one
+    /// shuffle, or of one of its map partitions. Both go under the
+    /// registry lock, so a concurrent commit cannot register a map whose
+    /// blocks are then dropped: that map would read as empty, not lost.
+    fn drop_outputs(&self, ctx: &SpangleContext, shuffle_id: usize, map_id: Option<usize>) {
+        let mut outputs = self.outputs.lock();
+        match (map_id, outputs.get_mut(&shuffle_id)) {
+            (None, _) => {
+                outputs.remove(&shuffle_id);
             }
-            keep
+            (Some(map_id), Some(maps)) => {
+                maps.remove(&map_id);
+            }
+            (Some(_), None) => {}
+        }
+        ctx.inner.blocks.discard(|key, _| {
+            matches!(key, BlockKey::Shuffle(id)
+                if id.shuffle_id == shuffle_id && map_id.is_none_or(|m| m == id.map_id))
         });
-        self.debug_check_resident(&blocks);
     }
 
     /// Atomically claims the *recovery* of a shuffle whose completed map
@@ -831,61 +477,71 @@ impl ShuffleService {
         );
         RecoveryClaim::Owner { missing }
     }
-
-    /// Total bytes currently resident in memory in the service (for memory
-    /// reports and watermark checks). Spilled blocks do not count — their
-    /// heap bytes were the point of spilling. O(1): the counter is
-    /// maintained on every insert/remove/tier-flip under the block-map
-    /// write lock (and checked against a full walk in debug builds), not
-    /// recomputed per call — deposits used to pay a full map walk here,
-    /// turning an n-block shuffle write phase into O(n²).
-    pub fn resident_bytes(&self) -> usize {
-        self.resident.load(Ordering::Relaxed)
-    }
-
-    /// Bytes currently held by this service's on-disk spill tier (framed
-    /// file sizes).
-    pub fn disk_bytes(&self) -> usize {
-        self.spill.disk_bytes()
-    }
-
-    /// Bytes deposited for each reduce partition of one shuffle, summed
-    /// over its map-side blocks (logical record bytes, both tiers). The
-    /// planner reads this after a map stage completes to decide which
-    /// reduce buckets are small enough to merge into one task
-    /// ([`crate::SpangleContextBuilder::coalesce_partitions`]).
-    pub fn reduce_bucket_bytes(&self, shuffle_id: usize, num_reduce: usize) -> Vec<usize> {
-        let mut out = vec![0usize; num_reduce];
-        for (id, entry) in self.blocks.read().iter() {
-            if id.shuffle_id == shuffle_id && id.reduce_id < num_reduce {
-                out[id.reduce_id] += entry.bytes;
-            }
-        }
-        out
-    }
-
-    /// Number of blocks currently stored (both tiers).
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.read().len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::SHUFFLE;
+
+    fn block(shuffle_id: usize, map_id: usize) -> BlockId {
+        BlockId {
+            shuffle_id,
+            map_id,
+            reduce_id: 0,
+        }
+    }
+
+    /// Commits `records` as map `map_id`'s only bucket (reduce partition
+    /// 0), eight bytes per record.
+    fn commit(
+        ctx: &SpangleContext,
+        shuffle_id: usize,
+        map_id: usize,
+        records: Vec<u64>,
+        origin: BlockOrigin,
+    ) -> bool {
+        let bytes = 8 * records.len();
+        ctx.inner.shuffle.commit_map_output(
+            ctx,
+            shuffle_id,
+            map_id,
+            vec![(0, records, bytes)],
+            origin,
+        )
+    }
+
+    fn fetch(ctx: &SpangleContext, id: BlockId) -> Arc<Vec<u64>> {
+        ctx.inner.blocks.fetch_shuffle(ctx, id)
+    }
+
+    fn fetch_failure(ctx: &SpangleContext, id: BlockId) -> FetchFailedError {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fetch(ctx, id)))
+            .expect_err("a lost block must not fetch as empty");
+        *err.downcast_ref::<FetchFailedError>()
+            .expect("panic payload is a FetchFailedError")
+    }
 
     #[test]
-    fn put_fetch_roundtrip_charges_bytes() {
+    fn commit_fetch_roundtrip_charges_bytes() {
         let ctx = SpangleContext::new(2);
-        let svc = ShuffleService::default();
-        let id = BlockId {
-            shuffle_id: 1,
-            map_id: 0,
-            reduce_id: 3,
-        };
         let before = ctx.metrics_snapshot();
-        svc.put_block(&ctx, id, vec![(1u64, 2.0f64); 10], 160, BlockOrigin::DRIVER);
-        let got: Arc<Vec<(u64, f64)>> = svc.fetch_block(&ctx, id);
+        let records = vec![(1u64, 2.0f64); 10];
+        assert!(ctx.inner.shuffle.commit_map_output(
+            &ctx,
+            1,
+            0,
+            vec![(3, records, 160)],
+            BlockOrigin::DRIVER
+        ));
+        let got: Arc<Vec<(u64, f64)>> = ctx.inner.blocks.fetch_shuffle(
+            &ctx,
+            BlockId {
+                shuffle_id: 1,
+                map_id: 0,
+                reduce_id: 3,
+            },
+        );
         assert_eq!(got.len(), 10);
         let delta = ctx.metrics_snapshot() - before;
         assert_eq!(delta.shuffle_write_bytes, 160);
@@ -896,15 +552,9 @@ mod tests {
     #[test]
     fn fetches_share_the_block_instead_of_cloning_it() {
         let ctx = SpangleContext::new(1);
-        let svc = ShuffleService::default();
-        let id = BlockId {
-            shuffle_id: 1,
-            map_id: 0,
-            reduce_id: 0,
-        };
-        svc.put_block(&ctx, id, vec![1u64, 2, 3], 24, BlockOrigin::DRIVER);
-        let a: Arc<Vec<u64>> = svc.fetch_block(&ctx, id);
-        let b: Arc<Vec<u64>> = svc.fetch_block(&ctx, id);
+        commit(&ctx, 1, 0, vec![1, 2, 3], BlockOrigin::DRIVER);
+        let a = fetch(&ctx, block(1, 0));
+        let b = fetch(&ctx, block(1, 0));
         assert!(
             Arc::ptr_eq(&a, &b),
             "two fetches of one resident block must alias, not deep-copy"
@@ -914,37 +564,23 @@ mod tests {
     #[test]
     fn missing_block_is_empty_and_free() {
         let ctx = SpangleContext::new(1);
-        let svc = ShuffleService::default();
         let before = ctx.metrics_snapshot();
-        let got: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 9,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        assert!(got.is_empty());
+        assert!(fetch(&ctx, block(9, 0)).is_empty());
         assert_eq!((ctx.metrics_snapshot() - before).shuffle_read_bytes, 0);
     }
 
     #[test]
     fn remove_shuffle_clears_state() {
         let ctx = SpangleContext::new(1);
-        let svc = ShuffleService::default();
-        let id = BlockId {
-            shuffle_id: 5,
-            map_id: 1,
-            reduce_id: 1,
-        };
-        svc.put_block(&ctx, id, vec![1u64], 8, BlockOrigin::DRIVER);
+        let svc = &ctx.inner.shuffle;
+        commit(&ctx, 5, 1, vec![1], BlockOrigin::DRIVER);
         svc.mark_completed(5, 2);
         assert!(svc.is_completed(5));
-        assert_eq!(svc.num_blocks(), 1);
-        svc.remove_shuffle(5);
+        assert_eq!(ctx.inner.blocks.num_blocks(), 1);
+        svc.remove_shuffle(&ctx, 5);
         assert!(!svc.is_completed(5));
-        assert_eq!(svc.num_blocks(), 0);
-        assert_eq!(svc.resident_bytes(), 0);
+        assert_eq!(ctx.inner.blocks.num_blocks(), 0);
+        assert_eq!(ctx.shuffle_resident_bytes(), 0);
     }
 
     /// Bugfix regression: a reduce fetch straggling in after lineage GC
@@ -954,23 +590,11 @@ mod tests {
     #[test]
     fn fetch_after_remove_shuffle_fails_typed() {
         let ctx = SpangleContext::new(1);
-        let svc = ShuffleService::default();
-        let id = BlockId {
-            shuffle_id: 5,
-            map_id: 0,
-            reduce_id: 0,
-        };
-        svc.put_block(&ctx, id, vec![1u64], 8, BlockOrigin::DRIVER);
-        svc.register_map_output(&ctx, 5, 0, BlockOrigin::DRIVER);
-        svc.mark_completed(5, 1);
-        svc.remove_shuffle(5);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _: Arc<Vec<u64>> = svc.fetch_block(&ctx, id);
-        }))
-        .expect_err("a fetch against a GC'd shuffle must not read as empty");
+        commit(&ctx, 5, 0, vec![1], BlockOrigin::DRIVER);
+        ctx.inner.shuffle.mark_completed(5, 1);
+        ctx.inner.shuffle.remove_shuffle(&ctx, 5);
         assert_eq!(
-            *err.downcast_ref::<FetchFailedError>()
-                .expect("typed payload"),
+            fetch_failure(&ctx, block(5, 0)),
             FetchFailedError {
                 shuffle_id: 5,
                 map_id: 0
@@ -978,251 +602,81 @@ mod tests {
         );
         // A shuffle that never had stage state keeps the historical
         // empty-fetch behavior (test-seeded block maps).
-        let got: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 99,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        assert!(got.is_empty());
+        assert!(fetch(&ctx, block(99, 0)).is_empty());
     }
 
-    /// Bugfix regression: the O(1) resident counter must track every
-    /// insert, replace, discard, and removal exactly (debug builds also
-    /// assert it against the full walk inside each mutating op).
+    /// The resident counter must track every commit, re-commit, discard,
+    /// and removal exactly (debug builds also assert it against a full
+    /// walk inside each mutating op).
     #[test]
     fn resident_counter_tracks_every_mutation() {
         let ctx = SpangleContext::new(2);
-        let svc = ShuffleService::default();
-        let id0 = BlockId {
-            shuffle_id: 1,
-            map_id: 0,
-            reduce_id: 0,
-        };
-        let id1 = BlockId {
-            shuffle_id: 1,
-            map_id: 1,
-            reduce_id: 0,
-        };
-        svc.put_block(&ctx, id0, vec![1u64, 2], 16, BlockOrigin::DRIVER);
-        svc.put_block(&ctx, id1, vec![3u64], 8, BlockOrigin::executor(1, 0));
-        assert_eq!(svc.resident_bytes(), 24);
-        // Replacing a block swaps its accounted size, not leaks it.
-        svc.put_block(&ctx, id0, vec![9u64], 8, BlockOrigin::DRIVER);
-        assert_eq!(svc.resident_bytes(), 16);
-        svc.discard_executor(1);
-        assert_eq!(svc.resident_bytes(), 8);
-        svc.remove_shuffle(1);
-        assert_eq!(svc.resident_bytes(), 0);
+        let svc = &ctx.inner.shuffle;
+        commit(&ctx, 1, 0, vec![1, 2], BlockOrigin::DRIVER);
+        commit(&ctx, 1, 1, vec![3], BlockOrigin::executor(1, 0));
+        assert_eq!(ctx.shuffle_resident_bytes(), 24);
+        // A map whose registration was lost commits again: the new block
+        // replaces the old one's accounted size instead of leaking it.
+        svc.lose_map_output(1, 0);
+        assert!(commit(&ctx, 1, 0, vec![9], BlockOrigin::DRIVER));
+        assert_eq!(ctx.shuffle_resident_bytes(), 16);
+        let loss = ctx.kill_executor(1);
+        assert_eq!(
+            (loss.shuffle_blocks_dropped, loss.shuffle_bytes_dropped),
+            (1, 8)
+        );
+        assert_eq!(ctx.shuffle_resident_bytes(), 8);
+        svc.remove_shuffle(&ctx, 1);
+        assert_eq!(ctx.shuffle_resident_bytes(), 0);
     }
 
-    /// Bugfix regression: `put_block` used to install unconditionally,
-    /// letting a late speculative loser (live, but beaten to the commit)
-    /// overwrite the winner's block through the legacy path.
+    /// First write wins: a speculative loser that is alive, only beaten,
+    /// must neither overwrite the winner's block nor charge write volume.
     #[test]
-    fn put_block_cannot_overwrite_a_live_winner() {
+    fn a_live_losers_commit_is_refused_and_charges_nothing() {
         let ctx = SpangleContext::new(2);
-        let svc = ShuffleService::default();
         let winner = BlockOrigin::executor(0, 0);
         let loser = BlockOrigin::executor(1, 0);
-        assert!(svc.commit_map_output(&ctx, 7, 0, vec![(0, vec![111u64], 8)], winner));
-        // The loser is alive — only *beaten*. Its late put must be refused.
+        assert!(commit(&ctx, 7, 0, vec![111], winner));
         let before = ctx.metrics_snapshot();
-        svc.put_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 7,
-                map_id: 0,
-                reduce_id: 0,
-            },
-            vec![222u64],
-            8,
-            loser,
+        assert!(
+            !commit(&ctx, 7, 0, vec![222], loser),
+            "the beaten attempt's commit must lose"
+        );
+        let delta = ctx.metrics_snapshot() - before;
+        assert_eq!(
+            (delta.shuffle_write_bytes, delta.shuffle_records),
+            (0, 0),
+            "refused commits charge nothing"
         );
         assert_eq!(
-            (ctx.metrics_snapshot() - before).shuffle_write_bytes,
-            0,
-            "refused deposits charge nothing"
+            *fetch(&ctx, block(7, 0)),
+            vec![111],
+            "the committed winner's block survives"
         );
-        let got: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 7,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        assert_eq!(*got, vec![111], "the committed winner's block survives");
-        // The winner itself may still re-deposit (recovery re-seeds).
-        svc.put_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 7,
-                map_id: 0,
-                reduce_id: 0,
-            },
-            vec![333u64],
-            8,
-            winner,
-        );
-        let got: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 7,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        assert_eq!(*got, vec![333]);
-    }
-
-    #[test]
-    fn spill_and_rehydrate_roundtrip_with_accounting() {
-        let ctx = SpangleContext::new(1);
-        let svc = ShuffleService::default();
-        let records: Vec<(u64, f64)> = (0..100).map(|i| (i, i as f64 * 1.5)).collect();
-        for map_id in 0..4 {
-            svc.put_block(
-                &ctx,
-                BlockId {
-                    shuffle_id: 1,
-                    map_id,
-                    reduce_id: 0,
-                },
-                records.clone(),
-                1600,
-                BlockOrigin::DRIVER,
-            );
-        }
-        assert_eq!(svc.resident_bytes(), 6400);
-        let before = ctx.metrics_snapshot();
-        let freed = svc.spill_up_to(&ctx, 3000);
-        assert_eq!(freed, 3200, "two coldest blocks demoted");
-        assert_eq!(svc.resident_bytes(), 3200);
-        assert!(svc.disk_bytes() > 0);
-        assert_eq!(svc.num_blocks(), 4, "spilled blocks stay fetchable");
-        let mid = ctx.metrics_snapshot();
-        assert_eq!((mid - before).blocks_spilled, 2);
-        assert!((mid - before).spill_bytes >= (mid - before).disk_resident_bytes);
-        // Every block — spilled or resident — fetches bit-identically.
-        for map_id in 0..4 {
-            let got: Arc<Vec<(u64, f64)>> = svc.fetch_block(
-                &ctx,
-                BlockId {
-                    shuffle_id: 1,
-                    map_id,
-                    reduce_id: 0,
-                },
-            );
-            assert_eq!(*got, records);
-        }
-        let after = ctx.metrics_snapshot();
-        assert_eq!((after - mid).blocks_rehydrated, 2);
-        assert_eq!(svc.resident_bytes(), 6400, "rehydration restores the tier");
-        assert_eq!(svc.disk_bytes(), 0, "rehydrated files are deleted");
-    }
-
-    #[test]
-    fn spilling_prefers_the_least_recently_fetched_block() {
-        let ctx = SpangleContext::new(1);
-        let svc = ShuffleService::default();
-        for map_id in 0..3 {
-            svc.put_block(
-                &ctx,
-                BlockId {
-                    shuffle_id: 1,
-                    map_id,
-                    reduce_id: 0,
-                },
-                vec![map_id as u64; 4],
-                32,
-                BlockOrigin::DRIVER,
-            );
-        }
-        // Touch block 0 so block 1 becomes the coldest.
-        let _: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 1,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        svc.spill_up_to(&ctx, 1);
-        assert_eq!(svc.resident_bytes(), 64);
-        // Block 1 must be the spilled one: fetching it rehydrates.
-        let before = ctx.metrics_snapshot();
-        let got: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 1,
-                map_id: 1,
-                reduce_id: 0,
-            },
-        );
-        assert_eq!(*got, vec![1, 1, 1, 1]);
-        assert_eq!((ctx.metrics_snapshot() - before).blocks_rehydrated, 1);
     }
 
     #[test]
     fn spilled_blocks_of_a_dead_executor_are_discarded_not_rehydrated() {
-        let ctx = SpangleContext::new(2);
-        let svc = ShuffleService::default();
-        seed_two_map_shuffle(&ctx, &svc, 6);
-        svc.spill_up_to(&ctx, usize::MAX);
-        assert_eq!(svc.resident_bytes(), 0);
-        assert!(svc.disk_bytes() > 0);
-        let (dropped, bytes) = svc.discard_executor(1);
+        // A one-byte watermark spills every spillable block on deposit.
+        let ctx = SpangleContext::builder()
+            .executors(2)
+            .memory_high_watermark_bytes(1)
+            .spill_to_disk(true)
+            .build();
+        seed_two_map_shuffle(&ctx, 6);
+        assert_eq!(ctx.shuffle_resident_bytes(), 0);
+        assert!(ctx.disk_resident_bytes() > 0);
+        let loss = ctx.kill_executor(1);
         assert_eq!(
-            (dropped, bytes),
+            (loss.shuffle_blocks_dropped, loss.shuffle_bytes_dropped),
             (1, 8),
             "spilled blocks count toward the discard with their logical bytes"
         );
         // Map 0's spilled block survives and rehydrates; map 1's is gone
         // from disk too and raises a typed fetch failure.
-        let ok: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 6,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        assert_eq!(*ok, vec![0]);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _: Arc<Vec<u64>> = svc.fetch_block(
-                &ctx,
-                BlockId {
-                    shuffle_id: 6,
-                    map_id: 1,
-                    reduce_id: 0,
-                },
-            );
-        }))
-        .expect_err("a dead incarnation's spilled block must not rehydrate");
-        assert!(err.downcast_ref::<FetchFailedError>().is_some());
-    }
-
-    #[test]
-    fn unspillable_blocks_are_skipped_by_the_sweep() {
-        let ctx = SpangleContext::new(1);
-        let svc = ShuffleService::default();
-        svc.put_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 1,
-                map_id: 0,
-                reduce_id: 0,
-            },
-            vec!["static strings have no stable byte form"],
-            64,
-            BlockOrigin::DRIVER,
-        );
-        assert_eq!(svc.spill_up_to(&ctx, usize::MAX), 0);
-        assert_eq!(svc.resident_bytes(), 64, "pinned resident");
-        assert_eq!(svc.disk_bytes(), 0);
+        assert_eq!(*fetch(&ctx, block(6, 0)), vec![0]);
+        assert_eq!(fetch_failure(&ctx, block(6, 1)).map_id, 1);
     }
 
     #[test]
@@ -1236,9 +690,10 @@ mod tests {
 
     #[test]
     fn abandon_lets_the_next_claimant_own() {
+        let ctx = SpangleContext::new(1);
         let svc = ShuffleService::default();
         assert_eq!(svc.try_claim(1), ShuffleClaim::Owner);
-        svc.abandon(1);
+        svc.abandon(&ctx, 1);
         assert!(!svc.wait_finished(1), "abandoned, not completed");
         assert_eq!(svc.try_claim(1), ShuffleClaim::Owner);
     }
@@ -1246,49 +701,29 @@ mod tests {
     #[test]
     fn abandon_drops_the_aborted_attempts_partial_blocks() {
         let ctx = SpangleContext::new(1);
-        let svc = ShuffleService::default();
+        let svc = &ctx.inner.shuffle;
         assert_eq!(svc.try_claim(4), ShuffleClaim::Owner);
         // The owner's map tasks deposit some output, then the job aborts.
-        svc.put_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 4,
-                map_id: 0,
-                reduce_id: 0,
-            },
-            vec![1u64, 2, 3],
-            24,
-            BlockOrigin::DRIVER,
-        );
+        commit(&ctx, 4, 0, vec![1, 2, 3], BlockOrigin::DRIVER);
         // An unrelated completed shuffle must survive the abandon.
-        svc.put_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 5,
-                map_id: 0,
-                reduce_id: 0,
-            },
-            vec![9u64],
-            8,
-            BlockOrigin::DRIVER,
-        );
+        commit(&ctx, 5, 0, vec![9], BlockOrigin::DRIVER);
         svc.mark_completed(5, 1);
-        assert_eq!(svc.resident_bytes(), 32);
-        svc.abandon(4);
+        assert_eq!(ctx.shuffle_resident_bytes(), 32);
+        svc.abandon(&ctx, 4);
         assert_eq!(
-            svc.resident_bytes(),
+            ctx.shuffle_resident_bytes(),
             8,
             "the abandoned shuffle's partial blocks must be dropped"
         );
-        assert_eq!(svc.num_blocks(), 1);
+        assert_eq!(ctx.inner.blocks.num_blocks(), 1);
         assert_eq!(
             svc.try_claim(4),
             ShuffleClaim::Owner,
             "a re-claiming owner starts from a clean slate"
         );
         // Abandon on a completed shuffle stays a no-op.
-        svc.abandon(5);
-        assert_eq!(svc.resident_bytes(), 8);
+        svc.abandon(&ctx, 5);
+        assert_eq!(ctx.shuffle_resident_bytes(), 8);
     }
 
     #[test]
@@ -1313,6 +748,7 @@ mod tests {
 
     #[test]
     fn subscribed_callbacks_fire_exactly_once_on_completion_and_abandon() {
+        let ctx = SpangleContext::new(1);
         let svc = ShuffleService::default();
         let (tx, rx) = crate::sync::channel::unbounded();
         assert_eq!(svc.try_claim(1), ShuffleClaim::Owner);
@@ -1331,7 +767,7 @@ mod tests {
         assert_eq!(svc.try_claim(2), ShuffleClaim::Owner);
         let tx2 = tx.clone();
         svc.subscribe(2, Box::new(move |done| tx2.send(done).unwrap()));
-        svc.abandon(2);
+        svc.abandon(&ctx, 2);
         assert!(!rx.try_recv().unwrap(), "abandon notifies with false");
         assert_eq!(
             svc.try_claim(2),
@@ -1378,86 +814,51 @@ mod tests {
         }
     }
 
-    /// Seeds a two-map shuffle whose blocks live on executors 0 and 1.
-    fn seed_two_map_shuffle(ctx: &SpangleContext, svc: &ShuffleService, shuffle_id: usize) {
+    /// Seeds a completed two-map shuffle whose blocks live on executors 0
+    /// and 1.
+    fn seed_two_map_shuffle(ctx: &SpangleContext, shuffle_id: usize) {
         for map_id in 0..2 {
             let origin = BlockOrigin::executor(map_id, 0);
-            svc.put_block(
-                ctx,
-                BlockId {
-                    shuffle_id,
-                    map_id,
-                    reduce_id: 0,
-                },
-                vec![map_id as u64],
-                8,
-                origin,
-            );
-            svc.register_map_output(ctx, shuffle_id, map_id, origin);
+            assert!(commit(ctx, shuffle_id, map_id, vec![map_id as u64], origin));
         }
-        assert!(svc.mark_completed(shuffle_id, 2).is_empty());
+        assert!(ctx.inner.shuffle.mark_completed(shuffle_id, 2).is_empty());
     }
 
     #[test]
     fn mark_completed_reports_unregistered_maps() {
         let ctx = SpangleContext::new(1);
-        let svc = ShuffleService::default();
+        let svc = &ctx.inner.shuffle;
         assert_eq!(svc.mark_completed(9, 3), vec![0, 1, 2]);
-        svc.register_map_output(&ctx, 9, 1, BlockOrigin::DRIVER);
+        let no_buckets: Vec<(usize, Vec<u64>, usize)> = Vec::new();
+        svc.commit_map_output(&ctx, 9, 1, no_buckets, BlockOrigin::DRIVER);
         assert_eq!(svc.mark_completed(9, 3), vec![0, 2]);
     }
 
     #[test]
     fn registered_empty_buckets_stay_empty_fetches() {
         let ctx = SpangleContext::new(1);
-        let svc = ShuffleService::default();
-        svc.register_map_output(&ctx, 2, 0, BlockOrigin::DRIVER);
-        svc.mark_completed(2, 1);
-        let got: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 2,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        assert!(got.is_empty());
+        let no_buckets: Vec<(usize, Vec<u64>, usize)> = Vec::new();
+        ctx.inner
+            .shuffle
+            .commit_map_output(&ctx, 2, 0, no_buckets, BlockOrigin::DRIVER);
+        ctx.inner.shuffle.mark_completed(2, 1);
+        assert!(fetch(&ctx, block(2, 0)).is_empty());
     }
 
     #[test]
     fn lost_map_output_raises_fetch_failed() {
         let ctx = SpangleContext::new(2);
-        let svc = ShuffleService::default();
-        seed_two_map_shuffle(&ctx, &svc, 6);
-        let (dropped, bytes) = svc.discard_executor(1);
-        assert_eq!((dropped, bytes), (1, 8));
-        // The surviving map's block still fetches.
-        let ok: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 6,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        assert_eq!(*ok, vec![0]);
-        // The lost one raises a typed fetch failure, not an empty vec.
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _: Arc<Vec<u64>> = svc.fetch_block(
-                &ctx,
-                BlockId {
-                    shuffle_id: 6,
-                    map_id: 1,
-                    reduce_id: 0,
-                },
-            );
-        }))
-        .expect_err("lost output must not fetch as empty");
-        let fetch = err
-            .downcast_ref::<FetchFailedError>()
-            .expect("panic payload is a FetchFailedError");
+        seed_two_map_shuffle(&ctx, 6);
+        let loss = ctx.kill_executor(1);
         assert_eq!(
-            *fetch,
+            (loss.shuffle_blocks_dropped, loss.shuffle_bytes_dropped),
+            (1, 8)
+        );
+        // The surviving map's block still fetches.
+        assert_eq!(*fetch(&ctx, block(6, 0)), vec![0]);
+        // The lost one raises a typed fetch failure, not an empty vec.
+        assert_eq!(
+            fetch_failure(&ctx, block(6, 1)),
             FetchFailedError {
                 shuffle_id: 6,
                 map_id: 1
@@ -1468,71 +869,44 @@ mod tests {
     #[test]
     fn recovery_is_claimed_once_and_keeps_survivors() {
         let ctx = SpangleContext::new(2);
-        let svc = ShuffleService::default();
-        seed_two_map_shuffle(&ctx, &svc, 3);
-        svc.discard_executor(0);
-        let claim = svc.claim_recovery(3, 2);
+        let svc = &ctx.inner.shuffle;
+        seed_two_map_shuffle(&ctx, 3);
+        ctx.kill_executor(0);
+        // Map 1's block survived; only map 0 is re-run.
         assert_eq!(
-            claim,
-            RecoveryClaim::Owner {
-                missing: vec![0],
-                // map 1's block survived; only map 0 is re-run
-            }
+            svc.claim_recovery(3, 2),
+            RecoveryClaim::Owner { missing: vec![0] }
         );
         assert_eq!(
             svc.claim_recovery(3, 2),
             RecoveryClaim::InFlight,
             "one owner per recovery round"
         );
-        assert_eq!(svc.resident_bytes(), 8, "survivor block kept");
+        assert_eq!(ctx.inner.blocks.resident_bytes(SHUFFLE), 8, "survivor kept");
         // The owner re-runs the missing map and closes the stage again.
-        let origin = BlockOrigin::executor(1, 0);
-        svc.put_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 3,
-                map_id: 0,
-                reduce_id: 0,
-            },
-            vec![7u64],
-            8,
-            origin,
-        );
-        svc.register_map_output(&ctx, 3, 0, origin);
+        assert!(commit(&ctx, 3, 0, vec![7], BlockOrigin::executor(1, 0)));
         assert!(svc.mark_completed(3, 2).is_empty());
         assert_eq!(svc.claim_recovery(3, 2), RecoveryClaim::Recovered);
-        let got: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 3,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        assert_eq!(*got, vec![7]);
+        assert_eq!(*fetch(&ctx, block(3, 0)), vec![7]);
     }
 
     #[test]
     fn stale_incarnation_deposits_are_refused() {
         let ctx = SpangleContext::new(2);
-        let svc = ShuffleService::default();
         let stale = BlockOrigin::executor(0, 0);
         ctx.inner.pool.kill(0);
         let before = ctx.metrics_snapshot();
-        svc.put_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 1,
-                map_id: 0,
-                reduce_id: 0,
-            },
-            vec![1u64],
-            8,
-            stale,
+        assert!(!commit(&ctx, 1, 0, vec![1], stale));
+        assert_eq!(
+            ctx.inner.blocks.num_blocks(),
+            0,
+            "dead incarnations cannot deposit"
         );
-        svc.register_map_output(&ctx, 1, 0, stale);
-        assert_eq!(svc.num_blocks(), 0, "dead incarnations cannot deposit");
         assert_eq!((ctx.metrics_snapshot() - before).shuffle_write_bytes, 0);
-        assert_eq!(svc.mark_completed(1, 1), vec![0], "nor register output");
+        assert_eq!(
+            ctx.inner.shuffle.mark_completed(1, 1),
+            vec![0],
+            "nor register output"
+        );
     }
 }

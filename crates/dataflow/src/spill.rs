@@ -1,4 +1,4 @@
-//! On-disk spill tier shared by the shuffle service and the block manager.
+//! On-disk spill tier of the block store.
 //!
 //! When resident cache + shuffle bytes cross the admission memory
 //! watermark, cold blocks are *demoted*: their records are encoded with the
@@ -29,7 +29,7 @@ const MAGIC: &[u8; 4] = b"SPL1";
 /// Bytes of framing around each payload: magic + length + checksum.
 const FRAME_OVERHEAD: usize = 4 + 8 + 8;
 
-/// Process-wide sequence so two stores in one process (shuffle + cache, or
+/// Process-wide sequence so two stores in one process (one per context, and
 /// many test contexts) never share a directory.
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 

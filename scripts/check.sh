@@ -12,9 +12,9 @@
 #   scripts/check.sh <step> [...]     run only the named steps, in order
 #
 # Steps: fmt clippy build test planoff specoff spill health healthoff
-# proc doc stress bench
-# (proc, stress and bench are CI-job-only: they are not part of the
-# default full gate because of their runtime.)
+# proc doc stress bench benchmark
+# (proc, stress, bench and benchmark are CI-job-only: they are not part of
+# the default full gate because of their runtime.)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -170,11 +170,20 @@ run_bench() {
     return "$status"
 }
 
+# The repository benchmark (benchmark/, a cargo package with its own
+# workspace, so `--workspace` never reaches it): its own tests include a
+# smoke-scale run of every workload through the block store, gram's
+# spill probe included.
+run_benchmark() {
+    echo "== benchmark: package tests (watchdog ${WATCHDOG_SECS}s)"
+    watchdog cargo test --release --offline --manifest-path benchmark/Cargo.toml
+}
+
 steps=()
 for arg in "$@"; do
     case "$arg" in
     --quick) steps+=(fmt clippy test planoff specoff spill health healthoff doc) ;;
-    fmt | clippy | build | test | planoff | specoff | spill | health | healthoff | proc | doc | stress | bench) steps+=("$arg") ;;
+    fmt | clippy | build | test | planoff | specoff | spill | health | healthoff | proc | doc | stress | bench | benchmark) steps+=("$arg") ;;
     -h | --help | *) usage ;;
     esac
 done
