@@ -1,38 +1,37 @@
-//! Executor backends: where the remote data plane's named operators run
-//! and where their blocks live.
+//! Executor backends: whether the block store has a tier in worker
+//! processes.
 //!
-//! The [`ExecutorBackend`] trait splits the cluster's *data plane* from
-//! its scheduling plane. Scheduling (stages, placement, retries,
-//! lineage) always runs in the driver process over the thread pool; the
-//! backend decides where a named [`crate::ops`] operator executes and
-//! which store holds its output blocks:
+//! Scheduling and task bodies always run in the driver process over the
+//! thread pool. The backend only decides where blocks can live:
 //!
-//! * [`BackendKind::InProc`] (the default) keeps today's single-process
-//!   cluster: operators run on the calling executor thread against a
-//!   driver-local block store. No sockets, no processes — and no real
+//! * [`BackendKind::InProc`] (the default) keeps every block in the
+//!   driver, resident or spilled. No sockets, no processes — and no real
 //!   failure domains.
 //! * [`BackendKind::Proc`] gives every executor slot a real OS *worker
-//!   process* owning that slot's shards, spoken to over a Unix-domain
-//!   socket with the [`crate::wire`] frame protocol. Worker keepalives
-//!   are stamped into the driver's `HealthBoard` by per-session reader
-//!   threads, so the PR 9 loss detector fires on genuine process death:
-//!   a `SIGKILL`ed worker stops heartbeating, is declared lost, its slot
-//!   is killed through the standard recovery path, and this backend
-//!   respawns a fresh incarnation — no `kill_executor` call anywhere.
+//!   process* spoken to over a Unix-domain socket with the
+//!   `wire` frame protocol. The block store places spillable
+//!   blocks produced on a slot in that slot's worker (its remote tier).
+//!   Worker keepalives are stamped into the driver's `HealthBoard` by
+//!   per-session reader threads, so the loss detector fires on genuine
+//!   process death: a `SIGKILL`ed worker stops heartbeating, is declared
+//!   lost once a task of its slot waits on it, its slot is killed through
+//!   the standard recovery path, and this backend respawns a fresh
+//!   incarnation — no `kill_executor` call anywhere.
 //!
 //! Selection: `SPANGLE_BACKEND=proc|inproc` seeds the builder default;
 //! [`crate::SpangleContextBuilder::backend`] wins over the environment.
 //! Under `proc`, `SPANGLE_PROC_MAX_WORKERS` caps how many slots get real
-//! processes (the rest degrade to the in-driver store, covered by a
-//! stamper thread so loss detection never fires on them), and
+//! processes (the rest degrade to the driver tiers, covered by a stamper
+//! thread so loss detection never fires on them), and
 //! `SPANGLE_WORKER_BIN` points at the worker binary when automatic
 //! discovery (alongside the current executable) cannot find it.
 
 use crate::env::env_parse;
+use crate::executor::{self, CancelledError};
 use crate::health::{jittered_backoff, HealthBoard};
 use crate::sync::channel::{unbounded, RecvTimeoutError, Sender};
 use crate::sync::Mutex;
-use crate::wire::{self, BlockKey, BlockMeta, Frame, OpInput, ReplyBody, RequestBody};
+use crate::wire::{self, Frame, ReplyBody, RequestBody};
 use std::collections::HashMap;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,12 +41,12 @@ use std::time::{Duration, Instant};
 /// Which executor backend a context runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Operators run on the in-process executor threads against a
-    /// driver-local block store (the historical behavior).
+    /// Every block stays in the driver process (the historical behavior).
     #[default]
     InProc,
-    /// Every executor slot is a worker *process* reached over a Unix
-    /// socket; process death is a real failure domain.
+    /// Every executor slot has a worker *process* reached over a Unix
+    /// socket, holding that slot's spillable blocks; process death is a
+    /// real failure domain.
     Proc,
 }
 
@@ -62,254 +61,23 @@ impl std::str::FromStr for BackendKind {
     }
 }
 
-/// Why a backend call failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BackendError {
-    /// The slot's worker is unreachable: never spawned, crashed,
-    /// `SIGKILL`ed, or its connection produced a torn frame. The caller
-    /// must *wait for the health plane to notice* (or for its own
-    /// cancellation), never paper over it.
-    WorkerDead,
-    /// The call hit its deadline with the worker still connected.
-    Timeout,
-    /// The calling task was cancelled while waiting.
-    Cancelled,
-    /// No block is stored under the requested key.
-    NotFound,
-    /// The operator itself failed — a task-level error on a healthy
-    /// worker (quarantine-eligible, like any panicking task body).
-    Op(String),
-}
-
-impl std::fmt::Display for BackendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BackendError::WorkerDead => write!(f, "worker process unreachable"),
-            BackendError::Timeout => write!(f, "backend call timed out"),
-            BackendError::Cancelled => write!(f, "task cancelled while waiting on backend"),
-            BackendError::NotFound => write!(f, "block not found"),
-            BackendError::Op(msg) => write!(f, "operator failed: {msg}"),
-        }
-    }
-}
-
 /// A worker store snapshot, for tests and diagnostics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Blocks resident in the slot's store.
+    /// Blocks held by the worker.
     pub blocks: u64,
     /// Total encoded bytes of those blocks.
     pub bytes: u64,
-    /// Incarnation the store belongs to.
+    /// Incarnation the worker was spawned for.
     pub epoch: u64,
-    /// OS pid of the owning process (the driver's own pid for in-process
-    /// and degraded slots).
+    /// OS pid of the worker process.
     pub pid: u64,
-}
-
-/// Where named operators execute and where their blocks live; one
-/// implementation per [`BackendKind`].
-pub trait ExecutorBackend: Send + Sync {
-    /// Which kind this backend is.
-    fn kind(&self) -> BackendKind;
-
-    /// Whether this backend is the cluster's heartbeat source (socket
-    /// keepalives + degraded-slot stamper). When `false`, the pool's
-    /// in-process heartbeater thread runs instead.
-    fn provides_heartbeats(&self) -> bool;
-
-    /// Runs the named operator on `slot`'s store, depositing its outputs
-    /// under `out_keys`. Deterministic ops + keyed outputs make this
-    /// idempotent: a replay answers from the store.
-    fn run_op(
-        &self,
-        slot: usize,
-        op: &str,
-        args: &[u8],
-        inputs: Vec<OpInput>,
-        out_keys: &[BlockKey],
-    ) -> Result<Vec<BlockMeta>, BackendError>;
-
-    /// Fetches a stored block's bytes from `slot` — the remote
-    /// shuffle-fetch path under the process backend.
-    fn fetch(&self, slot: usize, key: BlockKey) -> Result<Vec<u8>, BackendError>;
-
-    /// Snapshot of `slot`'s store.
-    fn stats(&self, slot: usize) -> Result<WorkerStats, BackendError>;
-
-    /// Called by `SpangleContext::kill_executor` after the pool seated a
-    /// replacement incarnation: reap the dead worker and bring up a fresh
-    /// one for `new_epoch` (or clear the degraded slot's local store).
-    fn on_executor_killed(&self, slot: usize, new_epoch: u64);
-
-    /// OS pid of `slot`'s worker process, when one is running.
-    fn worker_pid(&self, slot: usize) -> Option<u32>;
-
-    /// Test hook: `SIGKILL` the worker process of `slot` and tell no one
-    /// — detection must come from missed heartbeats. Returns whether a
-    /// process was actually signalled.
-    fn sigkill_worker(&self, slot: usize) -> bool;
-
-    /// Number of slots currently served by real worker processes (0 for
-    /// the in-process backend and fully degraded process backends).
-    fn real_worker_slots(&self) -> usize;
-
-    /// Stops workers, joins session threads, removes sockets. Idempotent.
-    fn shutdown(&self);
 }
 
 /// `SPANGLE_BACKEND` seeds the builder default (invalid values warn once
 /// through the knob parser and fall back to in-process).
 pub(crate) fn backend_kind_from_env() -> BackendKind {
     env_parse::<BackendKind>("SPANGLE_BACKEND").unwrap_or_default()
-}
-
-/// Builds the backend for `kind` over `executors` slots.
-pub(crate) fn make_backend(
-    kind: BackendKind,
-    executors: usize,
-    board: Arc<HealthBoard>,
-    heartbeat_interval: Duration,
-) -> Arc<dyn ExecutorBackend> {
-    match kind {
-        BackendKind::InProc => Arc::new(InProcBackend {
-            local: LocalStore::new(executors),
-        }),
-        BackendKind::Proc => Arc::new(ProcBackend::start(executors, board, heartbeat_interval)),
-    }
-}
-
-/// The driver-local block store: the whole data plane of the in-process
-/// backend, and the degraded tier of the process backend (slots past the
-/// worker cap, or slots whose worker could not be spawned).
-struct LocalStore {
-    slots: Vec<Mutex<HashMap<BlockKey, Arc<Vec<u8>>>>>,
-}
-
-impl LocalStore {
-    fn new(executors: usize) -> Self {
-        LocalStore {
-            slots: (0..executors).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn run_op(
-        &self,
-        slot: usize,
-        op: &str,
-        args: &[u8],
-        inputs: Vec<OpInput>,
-        out_keys: &[BlockKey],
-    ) -> Result<Vec<BlockMeta>, BackendError> {
-        let meta = |bytes: &[u8]| BlockMeta {
-            len: bytes.len() as u64,
-            checksum: wire::fnv1a64(bytes),
-        };
-        let mut store = self.slots[slot].lock();
-        if !out_keys.is_empty() && out_keys.iter().all(|k| store.contains_key(k)) {
-            return Ok(out_keys.iter().map(|k| meta(&store[k])).collect());
-        }
-        let mut resolved: Vec<Arc<Vec<u8>>> = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            match input {
-                OpInput::Inline(bytes) => resolved.push(Arc::new(bytes)),
-                OpInput::Local(key) => match store.get(&key) {
-                    Some(bytes) => resolved.push(Arc::clone(bytes)),
-                    None => return Err(BackendError::Op(format!("missing local input {key:?}"))),
-                },
-            }
-        }
-        let views: Vec<&[u8]> = resolved.iter().map(|b| b.as_slice()).collect();
-        let outputs =
-            crate::ops::run_op(op, args, &views, &AtomicU64::new(0)).map_err(BackendError::Op)?;
-        if outputs.len() != out_keys.len() {
-            return Err(BackendError::Op(format!(
-                "operator {op:?} produced {} outputs for {} keys",
-                outputs.len(),
-                out_keys.len()
-            )));
-        }
-        let metas = outputs.iter().map(|b| meta(b)).collect();
-        for (key, bytes) in out_keys.iter().zip(outputs) {
-            store.insert(*key, Arc::new(bytes));
-        }
-        Ok(metas)
-    }
-
-    fn fetch(&self, slot: usize, key: BlockKey) -> Result<Vec<u8>, BackendError> {
-        self.slots[slot]
-            .lock()
-            .get(&key)
-            .map(|b| b.as_ref().clone())
-            .ok_or(BackendError::NotFound)
-    }
-
-    fn stats(&self, slot: usize, epoch: u64) -> WorkerStats {
-        let store = self.slots[slot].lock();
-        WorkerStats {
-            blocks: store.len() as u64,
-            bytes: store.values().map(|b| b.len() as u64).sum(),
-            epoch,
-            pid: std::process::id() as u64,
-        }
-    }
-
-    /// A killed incarnation's blocks die with it.
-    fn discard(&self, slot: usize) {
-        self.slots[slot].lock().clear();
-    }
-}
-
-/// The in-process backend: the data plane shares the driver's heap.
-struct InProcBackend {
-    local: LocalStore,
-}
-
-impl ExecutorBackend for InProcBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::InProc
-    }
-
-    fn provides_heartbeats(&self) -> bool {
-        false
-    }
-
-    fn run_op(
-        &self,
-        slot: usize,
-        op: &str,
-        args: &[u8],
-        inputs: Vec<OpInput>,
-        out_keys: &[BlockKey],
-    ) -> Result<Vec<BlockMeta>, BackendError> {
-        self.local.run_op(slot, op, args, inputs, out_keys)
-    }
-
-    fn fetch(&self, slot: usize, key: BlockKey) -> Result<Vec<u8>, BackendError> {
-        self.local.fetch(slot, key)
-    }
-
-    fn stats(&self, slot: usize) -> Result<WorkerStats, BackendError> {
-        Ok(self.local.stats(slot, 0))
-    }
-
-    fn on_executor_killed(&self, slot: usize, _new_epoch: u64) {
-        self.local.discard(slot);
-    }
-
-    fn worker_pid(&self, _slot: usize) -> Option<u32> {
-        None
-    }
-
-    fn sigkill_worker(&self, _slot: usize) -> bool {
-        false
-    }
-
-    fn real_worker_slots(&self) -> usize {
-        0
-    }
-
-    fn shutdown(&self) {}
 }
 
 /// One live worker connection: a locked writer for requests, a reader
@@ -332,6 +100,45 @@ impl Session {
         // Dropping the senders disconnects every waiting call.
         self.pending.lock().clear();
     }
+
+    /// Writes one frame; a failed write latches the session dead.
+    fn send(&self, frame: &Frame) -> bool {
+        let sent =
+            !self.dead.load(Ordering::SeqCst) && wire::write_frame(&self.writer, frame).is_ok();
+        if !sent {
+            self.mark_dead();
+        }
+        sent
+    }
+
+    /// Sends `frame` (a request) and waits for its reply, polling the
+    /// dead latch and the calling task's cancellation between channel
+    /// timeouts. `None` means the worker is unreachable. A cancelled task
+    /// unwinds with [`CancelledError`].
+    fn call(&self, req_id: u64, frame: &Frame) -> Option<ReplyBody> {
+        let (tx, rx) = unbounded();
+        self.pending.lock().insert(req_id, tx);
+        if !self.send(frame) {
+            return None;
+        }
+        let deadline = Instant::now() + CALL_DEADLINE;
+        loop {
+            match rx.recv_timeout(Duration::from_millis(2)) {
+                Ok(reply) => return Some(reply),
+                Err(RecvTimeoutError::Disconnected) => return None,
+                Err(RecvTimeoutError::Timeout) => {
+                    let cancelled = executor::is_task_cancelled();
+                    if cancelled || self.dead.load(Ordering::SeqCst) || Instant::now() > deadline {
+                        self.pending.lock().remove(&req_id);
+                        if cancelled {
+                            std::panic::panic_any(CancelledError);
+                        }
+                        return None;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// How one executor slot is served.
@@ -342,9 +149,10 @@ enum SlotMode {
         child: std::process::Child,
         session: Arc<Session>,
     },
-    /// Degraded to the driver-local store: past the worker cap, or the
-    /// worker binary is unavailable. The stamper thread keeps such slots'
-    /// heartbeats fresh so loss detection never fires on them.
+    /// Degraded: past the worker cap, or the worker binary is
+    /// unavailable. The slot's blocks stay in the driver, and the stamper
+    /// thread keeps its heartbeats fresh so loss detection never fires on
+    /// it.
     Local,
 }
 
@@ -353,8 +161,8 @@ struct SlotState {
     mode: SlotMode,
 }
 
-/// The multi-process backend.
-struct ProcBackend {
+/// The worker processes of a [`BackendKind::Proc`] context.
+pub(crate) struct ProcBackend {
     dir: std::path::PathBuf,
     socket: std::path::PathBuf,
     listener: Mutex<UnixListener>,
@@ -363,11 +171,10 @@ struct ProcBackend {
     /// for the right spawner to claim.
     parked: Mutex<Vec<(u64, u64, UnixStream)>>,
     slots: Vec<Mutex<SlotState>>,
-    local: LocalStore,
     board: Arc<HealthBoard>,
     /// Which slots the stamper thread covers (the Local ones); shared
     /// with that thread and flipped on spawn/degrade transitions.
-    local_flags: Mutex<Option<Arc<Vec<AtomicBool>>>>,
+    local_flags: Arc<Vec<AtomicBool>>,
     /// Keepalive spacing passed to workers (half the heartbeat interval,
     /// clamped like the in-process heartbeater's step).
     keepalive: Duration,
@@ -383,12 +190,22 @@ struct ProcBackend {
 /// the spawn failed and degrading the slot.
 const SPAWN_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Hard ceiling on one backend call; real waits end far earlier through
+/// Hard ceiling on one worker call; real waits end far earlier through
 /// cancellation or the dead-session latch.
 const CALL_DEADLINE: Duration = Duration::from_secs(600);
 
+/// How long a task waits on its own unreachable worker for the health
+/// plane to notice before failing outright. Generous: this ceiling is
+/// only reached on the degraded ladder rung where health monitoring is
+/// disabled and nobody will ever declare the slot lost.
+const OWN_WORKER_DEADLINE: Duration = Duration::from_secs(30);
+
 impl ProcBackend {
-    fn start(executors: usize, board: Arc<HealthBoard>, heartbeat_interval: Duration) -> Self {
+    pub(crate) fn start(
+        executors: usize,
+        board: Arc<HealthBoard>,
+        heartbeat_interval: Duration,
+    ) -> Self {
         static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "spangle-proc-{}-{}",
@@ -406,7 +223,7 @@ impl ProcBackend {
         if worker_bin.is_none() {
             warn_once(
                 "spangle: SPANGLE_BACKEND=proc but no spangle_worker binary found \
-                 (set SPANGLE_WORKER_BIN); degrading every slot to the in-driver store",
+                 (set SPANGLE_WORKER_BIN); keeping every block in the driver",
             );
         }
         let max_workers = env_parse::<usize>("SPANGLE_PROC_MAX_WORKERS").unwrap_or(executors);
@@ -426,9 +243,8 @@ impl ProcBackend {
                     })
                 })
                 .collect(),
-            local: LocalStore::new(executors),
             board,
-            local_flags: Mutex::new(None),
+            local_flags: Arc::new((0..executors).map(|_| AtomicBool::new(true)).collect()),
             keepalive,
             worker_bin,
             max_workers,
@@ -440,32 +256,26 @@ impl ProcBackend {
 
         // Eager spawn: loss detection exempts idle slots, so a slot must
         // have a keepalive source from the start — a lazily spawned
-        // worker would leave long closure tasks on a silent slot looking
-        // dead. Slots past the cap (or with no binary) stay Local.
-        for slot in 0..executors.min(backend.max_workers) {
-            if backend.worker_bin.is_some() {
+        // worker would leave long tasks on a silent slot looking dead.
+        // Slots past the cap (or with no binary) stay Local.
+        if backend.worker_bin.is_some() {
+            for slot in 0..executors.min(backend.max_workers) {
                 let mut state = backend.slots[slot].lock();
                 backend.spawn_into(&mut state, slot, 0);
             }
         }
-        backend.start_stamper(executors);
+        backend.start_stamper();
         backend
     }
 
     /// The stamper covers Local slots (and only those): they have no
     /// worker process, so without it the health monitor would declare
     /// them lost under any task longer than the loss threshold.
-    fn start_stamper(&self, executors: usize) {
+    fn start_stamper(&self) {
         let board = Arc::clone(&self.board);
         let stop = Arc::clone(&self.stop);
+        let local_flags = Arc::clone(&self.local_flags);
         let step = self.keepalive;
-        let local_flags: Arc<Vec<AtomicBool>> =
-            Arc::new((0..executors).map(|_| AtomicBool::new(true)).collect());
-        for slot in 0..executors {
-            let is_local = matches!(self.slots[slot].lock().mode, SlotMode::Local);
-            local_flags[slot].store(is_local, Ordering::SeqCst);
-        }
-        self.local_flags.lock().replace(Arc::clone(&local_flags));
         let handle = std::thread::Builder::new()
             .name("spangle-proc-stamper".into())
             .spawn(move || {
@@ -511,7 +321,7 @@ impl ProcBackend {
             Some(stream) => {
                 let session = self.install_session(slot, stream);
                 state.mode = SlotMode::Remote { child, session };
-                self.set_local_flag(slot, false);
+                self.local_flags[slot].store(false, Ordering::SeqCst);
             }
             None => {
                 let _ = child.kill();
@@ -526,22 +336,15 @@ impl ProcBackend {
 
     fn set_local(&self, state: &mut SlotState, slot: usize) {
         state.mode = SlotMode::Local;
-        self.set_local_flag(slot, true);
+        self.local_flags[slot].store(true, Ordering::SeqCst);
         // A fresh heartbeat keeps the just-degraded slot from being
         // instantly declared lost before the stamper's next pass.
         self.board.stamp_heartbeat(slot);
     }
 
-    fn set_local_flag(&self, slot: usize, local: bool) {
-        if let Some(flags) = self.local_flags.lock().as_ref() {
-            flags[slot].store(local, Ordering::SeqCst);
-        }
-    }
-
     /// Accepts connections until the `Hello` for `(slot, epoch)` arrives
     /// (checking the parked list first), with seeded backoff between
-    /// polls — the PR 9 reconnect discipline. Hellos for *other* slots
-    /// are parked for their spawners.
+    /// polls. Hellos for *other* slots are parked for their spawners.
     fn accept_hello(&self, slot: u64, epoch: u64) -> Option<UnixStream> {
         let deadline = Instant::now() + SPAWN_DEADLINE;
         let mut attempt = 0usize;
@@ -567,8 +370,7 @@ impl ProcBackend {
                         if s == slot && e == epoch {
                             return Some(stream);
                         }
-                        // Someone else's worker: park it (stale epochs
-                        // are dropped on claim timeout).
+                        // Someone else's worker: park it.
                         self.parked.lock().push((s, e, stream));
                     }
                 }
@@ -594,31 +396,20 @@ impl ProcBackend {
     /// health board, and connection death only latches the dead flag —
     /// deciding the *executor* is lost stays the health monitor's call.
     fn install_session(&self, slot: usize, stream: UnixStream) -> Arc<Session> {
-        let writer = stream;
-        let mut read_half = writer.try_clone().expect("failed to clone worker stream");
+        let mut read_half = stream.try_clone().expect("failed to clone worker stream");
         let session = Arc::new(Session {
-            writer: Mutex::new(writer),
+            writer: Mutex::new(stream),
             pending: Mutex::new(HashMap::new()),
             dead: AtomicBool::new(false),
             reader: Mutex::new(None),
         });
         let reader_session = Arc::downgrade(&session);
         let board = Arc::clone(&self.board);
-        let op_seen = AtomicU64::new(0);
         let handle = std::thread::Builder::new()
             .name(format!("spangle-worker-io-{slot}"))
             .spawn(move || loop {
-                match wire::read_frame(&mut read_half) {
-                    Ok(Frame::Heartbeat { op_progress, .. }) => {
-                        // A keepalive proves the process is alive; an
-                        // advancing op counter additionally proves the
-                        // operator body is moving (feeds the watchdog).
-                        if op_progress > op_seen.swap(op_progress, Ordering::Relaxed) {
-                            board.stamp_progress(slot);
-                        } else {
-                            board.stamp_heartbeat(slot);
-                        }
-                    }
+                match wire::read_frame_with(&mut read_half, || board.stamp_heartbeat(slot)) {
+                    Ok(Frame::Heartbeat { .. }) => board.stamp_heartbeat(slot),
                     Ok(Frame::Reply { req_id, body }) => {
                         if let Some(session) = reader_session.upgrade() {
                             if let Some(tx) = session.pending.lock().remove(&req_id) {
@@ -645,130 +436,121 @@ impl ProcBackend {
 
     /// The session serving `slot` right now, or `None` for Local slots.
     fn session_of(&self, slot: usize) -> Option<Arc<Session>> {
-        match &self.slots[slot].lock().mode {
+        match &self.slots.get(slot)?.lock().mode {
             SlotMode::Remote { session, .. } => Some(Arc::clone(session)),
             SlotMode::Local => None,
         }
     }
 
-    /// Sends one request and waits for its reply, polling the dead latch
-    /// and the calling task's cancellation between channel timeouts.
-    fn call(&self, session: &Session, body: RequestBody) -> Result<ReplyBody, BackendError> {
-        if session.dead.load(Ordering::SeqCst) {
-            return Err(BackendError::WorkerDead);
-        }
+    /// Whether `slot` is served by a worker process (alive or not): the
+    /// block store places the slot's spillable blocks there.
+    pub(crate) fn hosts(&self, slot: usize) -> bool {
+        self.session_of(slot).is_some()
+    }
+
+    /// Sends one request to `slot`'s worker and waits for the reply;
+    /// `None` means the worker is unreachable or the slot is Local.
+    ///
+    /// On the slot's own executor thread an unreachable worker is not an
+    /// answer: the task's own failure domain is gone, so it waits —
+    /// cancellably, and without stamping the slot's heartbeat, which would
+    /// hide the very death it waits on — until the health plane declares
+    /// the slot lost. That kill cancels the task, which unwinds with
+    /// [`CancelledError`] as an executor loss and replays on the
+    /// replacement incarnation. A respawned worker answers the retry.
+    fn call(&self, slot: usize, body: RequestBody) -> Option<ReplyBody> {
+        let own = executor::current_slot() == Some(slot);
         let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = unbounded();
-        session.pending.lock().insert(req_id, tx);
         let frame = Frame::Request { req_id, body };
-        if wire::write_frame(&mut *session.writer.lock(), &frame).is_err() {
-            session.pending.lock().remove(&req_id);
-            session.mark_dead();
-            return Err(BackendError::WorkerDead);
-        }
-        let deadline = Instant::now() + CALL_DEADLINE;
+        let deadline = Instant::now() + OWN_WORKER_DEADLINE;
         loop {
-            match rx.recv_timeout(Duration::from_millis(2)) {
-                Ok(reply) => return Ok(reply),
-                Err(RecvTimeoutError::Disconnected) => return Err(BackendError::WorkerDead),
-                Err(RecvTimeoutError::Timeout) => {
-                    if session.dead.load(Ordering::SeqCst) {
-                        session.pending.lock().remove(&req_id);
-                        return Err(BackendError::WorkerDead);
-                    }
-                    if crate::executor::is_task_cancelled() {
-                        session.pending.lock().remove(&req_id);
-                        return Err(BackendError::Cancelled);
-                    }
-                    if Instant::now() > deadline {
-                        session.pending.lock().remove(&req_id);
-                        return Err(BackendError::Timeout);
-                    }
-                }
+            let session = self.session_of(slot)?;
+            if let Some(reply) = session.call(req_id, &frame) {
+                return Some(reply);
+            }
+            if !own {
+                return None;
+            }
+            if executor::is_task_cancelled() {
+                std::panic::panic_any(CancelledError);
+            }
+            if Instant::now() > deadline {
+                panic!(
+                    "worker process for executor {slot} unreachable and never declared \
+                     lost (is health monitoring disabled?)"
+                );
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// Stores `bytes` under `id` in `slot`'s worker; `false` when it could
+    /// not (the slot degraded, or the call was not made from the slot's
+    /// own executor and the worker is unreachable).
+    pub(crate) fn put(&self, slot: usize, id: u64, bytes: Vec<u8>) -> bool {
+        self.call(slot, RequestBody::Put { id, bytes }) == Some(ReplyBody::Stored)
+    }
+
+    /// The bytes stored under `id` in `slot`'s worker, or `None` when the
+    /// worker no longer has them or cannot be reached.
+    pub(crate) fn get(&self, slot: usize, id: u64) -> Option<Vec<u8>> {
+        match self.call(slot, RequestBody::Get { id })? {
+            ReplyBody::Block(bytes) => Some(bytes),
+            _ => None,
+        }
+    }
+
+    /// Drops worker copies `(slot, id)`, batched per slot, without waiting:
+    /// each worker serves its frames in order, so any later request to it
+    /// already sees them gone. Copies on unreachable workers died with
+    /// them.
+    pub(crate) fn remove(&self, copies: Vec<(usize, u64)>) {
+        let mut per_slot: HashMap<usize, Vec<u64>> = HashMap::new();
+        for (slot, id) in copies {
+            per_slot.entry(slot).or_default().push(id);
+        }
+        for (slot, ids) in per_slot {
+            if let Some(session) = self.session_of(slot) {
+                session.send(&Frame::Request {
+                    req_id: self.next_req.fetch_add(1, Ordering::Relaxed),
+                    body: RequestBody::Remove { ids },
+                });
             }
         }
     }
-}
 
-impl ExecutorBackend for ProcBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Proc
-    }
-
-    fn provides_heartbeats(&self) -> bool {
-        true
-    }
-
-    fn run_op(
-        &self,
-        slot: usize,
-        op: &str,
-        args: &[u8],
-        inputs: Vec<OpInput>,
-        out_keys: &[BlockKey],
-    ) -> Result<Vec<BlockMeta>, BackendError> {
-        match self.session_of(slot) {
-            None => self.local.run_op(slot, op, args, inputs, out_keys),
-            Some(session) => {
-                let body = RequestBody::Run {
-                    op: op.to_string(),
-                    args: args.to_vec(),
-                    inputs,
-                    out_keys: out_keys.to_vec(),
-                };
-                match self.call(&session, body)? {
-                    ReplyBody::RunOk(metas) => Ok(metas),
-                    ReplyBody::OpError(msg) => Err(BackendError::Op(msg)),
-                    _ => Err(BackendError::WorkerDead),
-                }
-            }
+    /// Snapshot of `slot`'s worker, when it has a reachable one.
+    pub(crate) fn stats(&self, slot: usize) -> Option<WorkerStats> {
+        match self.call(slot, RequestBody::Stats)? {
+            ReplyBody::Stats {
+                blocks,
+                bytes,
+                epoch,
+                pid,
+            } => Some(WorkerStats {
+                blocks,
+                bytes,
+                epoch,
+                pid,
+            }),
+            _ => None,
         }
     }
 
-    fn fetch(&self, slot: usize, key: BlockKey) -> Result<Vec<u8>, BackendError> {
-        match self.session_of(slot) {
-            None => self.local.fetch(slot, key),
-            Some(session) => match self.call(&session, RequestBody::Get { key })? {
-                ReplyBody::GetOk(bytes) => Ok(bytes),
-                ReplyBody::NotFound => Err(BackendError::NotFound),
-                _ => Err(BackendError::WorkerDead),
-            },
-        }
-    }
-
-    fn stats(&self, slot: usize) -> Result<WorkerStats, BackendError> {
-        let epoch = self.slots[slot].lock().epoch;
-        match self.session_of(slot) {
-            None => Ok(self.local.stats(slot, epoch)),
-            Some(session) => match self.call(&session, RequestBody::Stats)? {
-                ReplyBody::StatsOk {
-                    blocks,
-                    bytes,
-                    epoch,
-                    pid,
-                } => Ok(WorkerStats {
-                    blocks,
-                    bytes,
-                    epoch,
-                    pid,
-                }),
-                _ => Err(BackendError::WorkerDead),
-            },
-        }
-    }
-
-    fn on_executor_killed(&self, slot: usize, new_epoch: u64) {
+    /// Called by `SpangleContext::kill_executor` after the pool seated a
+    /// replacement incarnation: reap the dead worker and bring up a fresh
+    /// one for `new_epoch`.
+    pub(crate) fn on_executor_killed(&self, slot: usize, new_epoch: u64) {
         let mut state = self.slots[slot].lock();
-        match std::mem::replace(&mut state.mode, SlotMode::Local) {
-            SlotMode::Remote { mut child, session } => {
-                session.mark_dead();
-                let _ = child.kill();
-                let _ = child.wait();
-                if let Some(handle) = session.reader.lock().take() {
-                    let _ = handle.join();
-                }
+        if let SlotMode::Remote { mut child, session } =
+            std::mem::replace(&mut state.mode, SlotMode::Local)
+        {
+            session.mark_dead();
+            let _ = child.kill();
+            let _ = child.wait();
+            if let Some(handle) = session.reader.lock().take() {
+                let _ = handle.join();
             }
-            SlotMode::Local => self.local.discard(slot),
         }
         if self.shut_down.load(Ordering::SeqCst) {
             return;
@@ -776,36 +558,40 @@ impl ExecutorBackend for ProcBackend {
         if slot < self.max_workers {
             self.spawn_into(&mut state, slot, new_epoch);
         } else {
-            // Capped slots stay on the in-driver store across kills.
+            // Capped slots stay in the driver across kills.
             state.epoch = new_epoch;
             self.set_local(&mut state, slot);
         }
     }
 
-    fn worker_pid(&self, slot: usize) -> Option<u32> {
+    /// OS pid of `slot`'s worker process, when one is running.
+    pub(crate) fn worker_pid(&self, slot: usize) -> Option<u32> {
         match &self.slots[slot].lock().mode {
             SlotMode::Remote { child, .. } => Some(child.id()),
             SlotMode::Local => None,
         }
     }
 
-    fn sigkill_worker(&self, slot: usize) -> bool {
-        // Signal only: no reaping, no session teardown, no respawn — the
-        // driver must *notice* through missed keepalives, exactly like a
-        // machine losing a process.
+    /// Test hook: `SIGKILL` the worker process of `slot` and tell no one.
+    /// Signal only — no reaping, no session teardown, no respawn: the
+    /// driver must *notice* through missed keepalives, exactly like a
+    /// machine losing a process. Returns whether a process was signalled.
+    pub(crate) fn sigkill_worker(&self, slot: usize) -> bool {
         match &mut self.slots[slot].lock().mode {
             SlotMode::Remote { child, .. } => child.kill().is_ok(),
             SlotMode::Local => false,
         }
     }
 
-    fn real_worker_slots(&self) -> usize {
+    /// Number of slots currently served by real worker processes.
+    pub(crate) fn real_worker_slots(&self) -> usize {
         self.slots
             .iter()
             .filter(|s| matches!(s.lock().mode, SlotMode::Remote { .. }))
             .count()
     }
 
+    /// Stops workers, joins session threads, removes sockets. Idempotent.
     fn shutdown(&self) {
         if self.shut_down.swap(true, Ordering::SeqCst) {
             return;
@@ -817,11 +603,10 @@ impl ExecutorBackend for ProcBackend {
                 std::mem::replace(&mut state.mode, SlotMode::Local)
             {
                 // Ask politely (fire and forget), then make sure.
-                let frame = Frame::Request {
+                session.send(&Frame::Request {
                     req_id: self.next_req.fetch_add(1, Ordering::Relaxed),
                     body: RequestBody::Shutdown,
-                };
-                let _ = wire::write_frame(&mut *session.writer.lock(), &frame);
+                });
                 let deadline = Instant::now() + Duration::from_millis(500);
                 loop {
                     match child.try_wait() {

@@ -1,6 +1,6 @@
 //! The driver-side entry point: a handle on the simulated cluster.
 
-use crate::backend::{backend_kind_from_env, make_backend, BackendKind, ExecutorBackend};
+use crate::backend::{backend_kind_from_env, BackendKind, ProcBackend, WorkerStats};
 use crate::env::env_parse;
 use crate::executor::ExecutorPool;
 use crate::failure::FailureInjector;
@@ -59,12 +59,13 @@ pub(crate) struct ContextInner {
     /// before the executor workers do on drop.
     pub(crate) scheduler: SchedulerService,
     pub(crate) pool: ExecutorPool,
-    /// Declared after `pool` so worker processes outlive the executor
-    /// threads that talk to them, and are torn down right after those
-    /// threads join on drop.
-    pub(crate) backend: Arc<dyn ExecutorBackend>,
+    /// The worker processes holding the block store's remote tier, under
+    /// [`BackendKind::Proc`]. Declared after `pool` so worker processes
+    /// outlive the executor threads that talk to them, and are torn down
+    /// right after those threads join on drop.
+    pub(crate) backend: Option<ProcBackend>,
     pub(crate) shuffle: ShuffleService,
-    /// Cached partitions and shuffle blocks, both tiers.
+    /// Cached partitions and shuffle blocks, every tier.
     pub(crate) blocks: BlockStore,
     pub(crate) metrics: Metrics,
     pub(crate) failures: FailureInjector,
@@ -411,9 +412,10 @@ impl SpangleContextBuilder {
     /// Which executor backend the cluster runs on (default: the
     /// `SPANGLE_BACKEND` environment knob, falling back to
     /// [`BackendKind::InProc`]). Under [`BackendKind::Proc`] every
-    /// executor slot is served by a real worker *process* whose
-    /// keepalives feed the health plane — see the "Executor backends"
-    /// section of DESIGN.md.
+    /// executor slot gets a real worker *process* that holds the slot's
+    /// spillable blocks and whose keepalives feed the health plane; task
+    /// bodies still run on the driver's executor threads — see the
+    /// "Executor backends" section of DESIGN.md.
     pub fn backend(mut self, kind: BackendKind) -> Self {
         self.backend = Some(kind);
         self
@@ -422,16 +424,19 @@ impl SpangleContextBuilder {
     /// Starts the cluster.
     pub fn build(self) -> SpangleContext {
         let pool = ExecutorPool::new(self.executors);
-        let backend = make_backend(
-            self.backend.unwrap_or_else(backend_kind_from_env),
-            self.executors,
-            pool.health_board(),
-            self.health.heartbeat_interval,
-        );
-        // A backend that stamps heartbeats itself (worker keepalives +
-        // the degraded-slot stamper) replaces the in-process heartbeater:
-        // running both would let driver threads vouch for dead processes.
-        if self.health.enabled && !backend.provides_heartbeats() {
+        let backend = (self.backend.unwrap_or_else(backend_kind_from_env) == BackendKind::Proc)
+            .then(|| {
+                ProcBackend::start(
+                    self.executors,
+                    pool.health_board(),
+                    self.health.heartbeat_interval,
+                )
+            });
+        // The process backend stamps heartbeats itself (worker keepalives
+        // plus the degraded-slot stamper) and replaces the in-process
+        // heartbeater: running both would let driver threads vouch for
+        // dead processes.
+        if self.health.enabled && backend.is_none() {
             pool.start_heartbeater(self.health.heartbeat_interval);
         }
         let failures = FailureInjector::default();
@@ -573,10 +578,12 @@ impl SpangleContext {
         let [shuffle, cached] = self
             .inner
             .blocks
-            .discard(|_, origin| origin.lives_on(executor));
+            .discard(self, |_, origin| origin.lives_on(executor));
         // The dead incarnation's worker process (and every block it held)
         // goes with it; the backend seats a replacement for the new epoch.
-        self.inner.backend.on_executor_killed(executor, incarnation);
+        if let Some(backend) = &self.inner.backend {
+            backend.on_executor_killed(executor, incarnation);
+        }
         self.metrics().add(MetricField::ExecutorsLost, 1);
         ExecutorLoss {
             executor,
@@ -590,23 +597,30 @@ impl SpangleContext {
 
     /// Which executor backend this cluster runs on.
     pub fn backend_kind(&self) -> BackendKind {
-        self.inner.backend.kind()
+        match self.inner.backend {
+            Some(_) => BackendKind::Proc,
+            None => BackendKind::InProc,
+        }
     }
 
     /// OS pid of `executor`'s worker process, when the backend runs one.
     pub fn worker_pid(&self, executor: usize) -> Option<u32> {
-        self.inner.backend.worker_pid(executor)
+        self.inner.backend.as_ref()?.worker_pid(executor)
     }
 
-    /// Snapshot of `executor`'s backend block store, when reachable.
-    pub fn worker_stats(&self, executor: usize) -> Option<crate::backend::WorkerStats> {
-        self.inner.backend.stats(executor).ok()
+    /// Snapshot of `executor`'s worker process, when it has a reachable
+    /// one.
+    pub fn worker_stats(&self, executor: usize) -> Option<WorkerStats> {
+        self.inner.backend.as_ref()?.stats(executor)
     }
 
     /// Number of executor slots currently served by real worker
     /// processes (0 under the in-process backend).
     pub fn real_worker_slots(&self) -> usize {
-        self.inner.backend.real_worker_slots()
+        self.inner
+            .backend
+            .as_ref()
+            .map_or(0, ProcBackend::real_worker_slots)
     }
 
     /// Chaos hook: `SIGKILL` the worker process serving `executor` and
@@ -616,7 +630,10 @@ impl SpangleContext {
     /// Returns whether a process was actually signalled (always `false`
     /// under the in-process backend and for degraded slots).
     pub fn sigkill_worker(&self, executor: usize) -> bool {
-        self.inner.backend.sigkill_worker(executor)
+        self.inner
+            .backend
+            .as_ref()
+            .is_some_and(|backend| backend.sigkill_worker(executor))
     }
 
     /// Drops a cached partition, simulating the loss of an executor's
@@ -624,19 +641,21 @@ impl SpangleContext {
     /// `partitions_evicted` metric when a block was actually present.
     pub fn evict_cached_partition(&self, rdd_id: usize, partition: usize) -> bool {
         let key = BlockKey::Cached { rdd_id, partition };
-        let evicted = self.inner.blocks.discard(|k, _| *k == key)[CACHED].0 > 0;
+        let evicted = self.inner.blocks.discard(self, |k, _| *k == key)[CACHED].0 > 0;
         if evicted {
             self.metrics().add(MetricField::PartitionsEvicted, 1);
         }
         evicted
     }
 
-    /// Bytes of cached partitions currently resident in memory.
+    /// Bytes of cached partitions currently resident in driver memory
+    /// (blocks held by worker processes do not count).
     pub fn cached_bytes(&self) -> usize {
         self.inner.blocks.resident_bytes(CACHED)
     }
 
-    /// Bytes of shuffle blocks currently resident in memory.
+    /// Bytes of shuffle blocks currently resident in driver memory
+    /// (blocks held by worker processes do not count).
     pub fn shuffle_resident_bytes(&self) -> usize {
         self.inner.blocks.resident_bytes(SHUFFLE)
     }

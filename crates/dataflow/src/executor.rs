@@ -129,8 +129,8 @@ pub fn is_task_cancelled() -> bool {
 }
 
 /// Health slot of the executor serving the current thread, or `None` on
-/// driver threads. The remote data plane uses this to decide *whose*
-/// worker process a named operator runs on.
+/// driver threads. The process backend uses this to tell a task's own
+/// worker (whose death it must wait out) from a peer's.
 pub(crate) fn current_slot() -> Option<usize> {
     CURRENT_HEALTH.with(|slot| slot.borrow().as_ref().map(|(_, executor)| *executor))
 }

@@ -33,10 +33,13 @@
 //!   survivors) under a per-job resubmission budget before replaying the
 //!   reduce, so iterative jobs survive executor deaths mid-flight.
 //!
-//! The runtime is intentionally conservative about what it models: there is
-//! no serialization format and no real network. What *is* modelled — stage
-//! boundaries, shuffle volume, task scheduling, caching, recomputation — is
-//! precisely the set of mechanisms the Spangle evaluation reasons about.
+//! The runtime is intentionally conservative about what it models: by
+//! default there is no serialization format and no real network. What *is*
+//! modelled — stage boundaries, shuffle volume, task scheduling, caching,
+//! recomputation — is precisely the set of mechanisms the Spangle
+//! evaluation reasons about. Under [`BackendKind::Proc`] each executor slot
+//! also has a worker process holding its blocks, in the spill codec's byte
+//! form, so a process crash is a real failure domain.
 
 pub mod backend;
 pub mod context;
@@ -46,20 +49,18 @@ pub mod failure;
 pub mod health;
 pub mod memsize;
 pub mod metrics;
-pub mod ops;
 pub mod partitioner;
 pub mod plan;
 pub mod procw;
 pub mod rdd;
-pub mod remote;
 pub mod scheduler;
 pub mod shuffle;
 pub(crate) mod spill;
 pub(crate) mod store;
 pub mod sync;
-pub mod wire;
+pub(crate) mod wire;
 
-pub use backend::{BackendKind, ExecutorBackend, WorkerStats};
+pub use backend::{BackendKind, WorkerStats};
 pub use context::{Broadcast, ExecutorLoss, SpangleContext, SpangleContextBuilder};
 pub use executor::{
     cancellation_point, is_task_cancelled, BlockOrigin, CancelGauge, CancelToken, CancelledError,
@@ -73,10 +74,6 @@ pub use partitioner::{
 pub use plan::PlanNodeInfo;
 pub use rdd::pair::PairRdd;
 pub use rdd::Rdd;
-pub use remote::{
-    remote_collect_pairs, remote_exchange, remote_map, remote_pagerank_step, remote_source,
-    remote_zip, BucketRef, ShardHandle,
-};
 pub use scheduler::{submit_job, JobError, JobHandle, SpeculationConfig, TaskError};
 
 /// Marker for types that can be elements of an [`Rdd`].

@@ -1,27 +1,26 @@
-//! The worker-process side of the multi-process executor backend.
+//! The worker-process side of the process backend.
 //!
-//! A worker is one OS process owning the partition shards of one executor
-//! slot. It connects back to the driver's Unix socket, announces itself
-//! with a `Hello { slot, epoch }` frame, then serves requests from a
-//! sequential frame loop: `Run` a named [`crate::ops`] operator (outputs
-//! land in the worker's in-memory block store), `Get` a stored block's
-//! bytes (the remote shuffle-fetch path), `Stats`, `Shutdown`. A separate
-//! thread writes `Heartbeat` keepalives every half heartbeat interval —
-//! those are the *only* liveness signal the driver has, so a `SIGKILL`ed
-//! worker goes silent and is detected by missed heartbeats, exactly like
-//! a dead executor process in a real cluster.
+//! A worker is one OS process holding one executor slot's tier of the
+//! block store. It connects back to the driver's Unix socket, announces
+//! itself with a `Hello { slot, epoch }` frame, then serves requests from
+//! a sequential frame loop over a byte map: `Put` stores a block's
+//! spill-codec bytes under a driver-chosen id, `Get` returns them,
+//! `Remove` drops a batch of ids, `Stats` reports, `Shutdown` exits.
+//! Every frame is checksummed, so bytes come back exactly as they went in
+//! or not at all. A separate thread writes `Heartbeat` keepalives every
+//! half heartbeat interval — with the bytes of a large reply, those are
+//! the *only* liveness signal the driver has, so a `SIGKILL`ed worker goes
+//! silent and is detected by missed heartbeats, exactly like a dead
+//! executor process in a real cluster.
 //!
-//! The worker holds no lineage and no recovery logic: it is a dumb,
-//! deterministic block holder. Everything it stores can be regenerated
-//! bit-identically by re-running the same operators on a replacement
-//! incarnation, which is what the driver's lineage replay does.
+//! The worker runs no task code and holds no lineage: task bodies stay on
+//! driver threads. Every block it holds can be recomputed from lineage by
+//! the driver, so losing the process loses data, never correctness.
 
-use crate::ops;
 use crate::sync::Mutex;
-use crate::wire::{self, BlockKey, BlockMeta, Frame, OpInput, ReplyBody, RequestBody, WireError};
+use crate::wire::{self, Frame, ReplyBody, RequestBody, WireError};
 use std::collections::HashMap;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,95 +37,39 @@ pub struct WorkerConfig {
     pub heartbeat: Duration,
 }
 
-/// The worker's in-memory block store plus the op-progress counter its
-/// heartbeats report.
+/// The worker's byte map.
 struct WorkerState {
     epoch: u64,
-    store: HashMap<BlockKey, Arc<Vec<u8>>>,
-    op_progress: Arc<AtomicU64>,
+    store: HashMap<u64, Vec<u8>>,
 }
 
 impl WorkerState {
-    fn meta(bytes: &[u8]) -> BlockMeta {
-        BlockMeta {
-            len: bytes.len() as u64,
-            checksum: wire::fnv1a64(bytes),
-        }
-    }
-
-    fn handle(&mut self, body: RequestBody) -> ReplyBody {
-        match body {
-            RequestBody::Run {
-                op,
-                args,
-                inputs,
-                out_keys,
-            } => self.run(&op, &args, inputs, &out_keys),
-            RequestBody::Get { key } => match self.store.get(&key) {
-                Some(bytes) => ReplyBody::GetOk(bytes.as_ref().clone()),
+    /// Serves one request; `None` for the unanswered `Remove` and
+    /// `Shutdown`.
+    fn handle(&mut self, body: RequestBody) -> Option<ReplyBody> {
+        Some(match body {
+            RequestBody::Put { id, bytes } => {
+                self.store.insert(id, bytes);
+                ReplyBody::Stored
+            }
+            RequestBody::Get { id } => match self.store.get(&id) {
+                Some(bytes) => ReplyBody::Block(bytes.clone()),
                 None => ReplyBody::NotFound,
             },
-            RequestBody::Stats => ReplyBody::StatsOk {
+            RequestBody::Remove { ids } => {
+                for id in ids {
+                    self.store.remove(&id);
+                }
+                return None;
+            }
+            RequestBody::Stats => ReplyBody::Stats {
                 blocks: self.store.len() as u64,
                 bytes: self.store.values().map(|b| b.len() as u64).sum(),
                 epoch: self.epoch,
                 pid: std::process::id() as u64,
             },
-            RequestBody::Shutdown => ReplyBody::ShuttingDown,
-        }
-    }
-
-    fn run(
-        &mut self,
-        op: &str,
-        args: &[u8],
-        inputs: Vec<OpInput>,
-        out_keys: &[BlockKey],
-    ) -> ReplyBody {
-        // Idempotent replay: operators are deterministic, so outputs
-        // already stored under every requested key *are* the recompute's
-        // bytes — answer from the store. (A replayed narrow chain re-runs
-        // its sources this way without duplicating work.)
-        if !out_keys.is_empty() && out_keys.iter().all(|k| self.store.contains_key(k)) {
-            let metas = out_keys
-                .iter()
-                .map(|k| Self::meta(&self.store[k]))
-                .collect();
-            return ReplyBody::RunOk(metas);
-        }
-        let mut resolved: Vec<Arc<Vec<u8>>> = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            match input {
-                OpInput::Inline(bytes) => resolved.push(Arc::new(bytes)),
-                OpInput::Local(key) => match self.store.get(&key) {
-                    Some(bytes) => resolved.push(Arc::clone(bytes)),
-                    // A missing local input means the driver's view of
-                    // this store is stale (e.g. it outlived a crash the
-                    // driver has not noticed yet) — a task failure the
-                    // driver retries with fresh placement, not a protocol
-                    // error.
-                    None => return ReplyBody::OpError(format!("missing local input {key:?}")),
-                },
-            }
-        }
-        let views: Vec<&[u8]> = resolved.iter().map(|b| b.as_slice()).collect();
-        match ops::run_op(op, args, &views, &self.op_progress) {
-            Ok(outputs) => {
-                if outputs.len() != out_keys.len() {
-                    return ReplyBody::OpError(format!(
-                        "operator {op:?} produced {} outputs for {} keys",
-                        outputs.len(),
-                        out_keys.len()
-                    ));
-                }
-                let metas = outputs.iter().map(|b| Self::meta(b)).collect();
-                for (key, bytes) in out_keys.iter().zip(outputs) {
-                    self.store.insert(*key, Arc::new(bytes));
-                }
-                ReplyBody::RunOk(metas)
-            }
-            Err(msg) => ReplyBody::OpError(msg),
-        }
+            RequestBody::Shutdown => return None,
+        })
     }
 }
 
@@ -148,36 +91,24 @@ pub fn worker_main(cfg: &WorkerConfig) -> i32 {
         }
     };
     let writer = Arc::new(Mutex::new(stream));
-    if wire::write_frame(
-        &mut *writer.lock(),
-        &Frame::Hello {
-            slot: cfg.slot,
-            epoch: cfg.epoch,
-        },
-    )
-    .is_err()
-    {
+    let hello = Frame::Hello {
+        slot: cfg.slot,
+        epoch: cfg.epoch,
+    };
+    if wire::write_frame(&writer, &hello).is_err() {
         return 1;
     }
 
-    let op_progress = Arc::new(AtomicU64::new(0));
     {
-        // Keepalives ride their own thread so a long operator body cannot
+        // Keepalives ride their own thread so a long request cannot
         // silence the worker: heartbeat silence must mean the *process*
         // is gone. The thread exits with the process when a write fails
         // (driver gone) — no join needed.
         let writer = Arc::clone(&writer);
-        let op_progress = Arc::clone(&op_progress);
         let interval = cfg.heartbeat;
         std::thread::spawn(move || {
-            let mut beats = 0u64;
-            loop {
-                beats += 1;
-                let frame = Frame::Heartbeat {
-                    beats,
-                    op_progress: op_progress.load(Ordering::Relaxed),
-                };
-                if wire::write_frame(&mut *writer.lock(), &frame).is_err() {
+            for beats in 1.. {
+                if wire::write_frame(&writer, &Frame::Heartbeat { beats }).is_err() {
                     std::process::exit(0);
                 }
                 std::thread::sleep(interval);
@@ -188,28 +119,26 @@ pub fn worker_main(cfg: &WorkerConfig) -> i32 {
     let mut state = WorkerState {
         epoch: cfg.epoch,
         store: HashMap::new(),
-        op_progress,
     };
     loop {
         match wire::read_frame(&mut reader) {
+            Ok(Frame::Request {
+                body: RequestBody::Shutdown,
+                ..
+            }) => return 0,
             Ok(Frame::Request { req_id, body }) => {
-                let reply = state.handle(body);
-                let is_shutdown = matches!(reply, ReplyBody::ShuttingDown);
-                if wire::write_frame(
-                    &mut *writer.lock(),
-                    &Frame::Reply {
-                        req_id,
-                        body: reply,
-                    },
-                )
-                .is_err()
-                    || is_shutdown
-                {
+                let Some(reply) = state.handle(body) else {
+                    continue;
+                };
+                let frame = Frame::Reply {
+                    req_id,
+                    body: reply,
+                };
+                if wire::write_frame(&writer, &frame).is_err() {
                     return 0;
                 }
             }
-            // Workers only expect requests; a stray frame is ignored so a
-            // future protocol extension stays backwards-compatible.
+            // Workers only expect requests; a stray frame is ignored.
             Ok(_) => {}
             // The driver closed the socket (context drop): exit quietly.
             Err(WireError::Eof) => return 0,
@@ -226,61 +155,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn run_stores_outputs_and_replays_from_the_store() {
+    fn the_byte_map_stores_returns_and_removes_blocks() {
         let mut state = WorkerState {
             epoch: 3,
             store: HashMap::new(),
-            op_progress: Arc::new(AtomicU64::new(0)),
         };
-        let payload = crate::ops::encode_pairs(&[(1, 2)]);
-        let run = RequestBody::Run {
-            op: "test.echo".into(),
-            args: vec![],
-            inputs: vec![OpInput::Inline(payload.clone())],
-            out_keys: vec![(9, 0)],
+        let put = |id, bytes: &[u8]| RequestBody::Put {
+            id,
+            bytes: bytes.to_vec(),
         };
-        let ReplyBody::RunOk(metas) = state.handle(run.clone()) else {
-            panic!("run must succeed");
-        };
-        assert_eq!(metas[0].len, payload.len() as u64);
-
-        // The output is fetchable and the re-run answers from the store.
-        let ReplyBody::GetOk(bytes) = state.handle(RequestBody::Get { key: (9, 0) }) else {
-            panic!("stored block must be fetchable");
-        };
-        assert_eq!(bytes, payload);
-        assert!(matches!(state.handle(run), ReplyBody::RunOk(m) if m == metas));
-
-        let ReplyBody::StatsOk { blocks, epoch, .. } = state.handle(RequestBody::Stats) else {
-            panic!("stats must answer");
-        };
-        assert_eq!((blocks, epoch), (1, 3));
-        assert!(matches!(
-            state.handle(RequestBody::Get { key: (9, 1) }),
-            ReplyBody::NotFound
-        ));
-    }
-
-    #[test]
-    fn missing_local_inputs_and_op_failures_are_op_errors() {
-        let mut state = WorkerState {
-            epoch: 0,
-            store: HashMap::new(),
-            op_progress: Arc::new(AtomicU64::new(0)),
-        };
-        let missing = state.handle(RequestBody::Run {
-            op: "test.echo".into(),
-            args: vec![],
-            inputs: vec![OpInput::Local((1, 1))],
-            out_keys: vec![(2, 0)],
-        });
-        assert!(matches!(missing, ReplyBody::OpError(_)));
-        let failed = state.handle(RequestBody::Run {
-            op: "test.fail".into(),
-            args: b"kaput".to_vec(),
-            inputs: vec![],
-            out_keys: vec![],
-        });
-        assert!(matches!(failed, ReplyBody::OpError(msg) if msg == "kaput"));
+        assert_eq!(state.handle(put(9, &[1, 2, 3])), Some(ReplyBody::Stored));
+        assert_eq!(state.handle(put(10, &[4])), Some(ReplyBody::Stored));
+        assert_eq!(
+            state.handle(RequestBody::Get { id: 9 }),
+            Some(ReplyBody::Block(vec![1, 2, 3]))
+        );
+        assert_eq!(
+            state.handle(RequestBody::Stats),
+            Some(ReplyBody::Stats {
+                blocks: 2,
+                bytes: 4,
+                epoch: 3,
+                pid: std::process::id() as u64,
+            })
+        );
+        // Removal is unanswered and tolerates ids that are not there.
+        assert_eq!(state.handle(RequestBody::Remove { ids: vec![9, 77] }), None);
+        assert_eq!(
+            state.handle(RequestBody::Get { id: 9 }),
+            Some(ReplyBody::NotFound)
+        );
+        assert_eq!(state.store.len(), 1);
     }
 }

@@ -180,11 +180,10 @@ impl<T: Data> Rdd<T> {
     /// action re-caches).
     pub fn unpersist(&self) {
         let id = self.id();
-        let [_, (dropped, _)] = self
-            .context()
-            .inner
-            .blocks
-            .discard(|key, _| matches!(key, BlockKey::Cached { rdd_id, .. } if *rdd_id == id));
+        let [_, (dropped, _)] = self.context().inner.blocks.discard(
+            self.context(),
+            |key, _| matches!(key, BlockKey::Cached { rdd_id, .. } if *rdd_id == id),
+        );
         self.context()
             .metrics()
             .add(MetricField::PartitionsEvicted, dropped as u64);

@@ -167,6 +167,21 @@ impl ShuffleService {
         buckets: Vec<(usize, Vec<T>, usize)>,
         origin: BlockOrigin,
     ) -> bool {
+        let mut total_bytes = 0u64;
+        let mut total_records = 0u64;
+        let blocks = buckets.into_iter().map(|(reduce_id, records, bytes)| {
+            total_bytes += bytes as u64;
+            total_records += records.len() as u64;
+            let id = BlockId {
+                shuffle_id,
+                map_id,
+                reduce_id,
+            };
+            (BlockKey::Shuffle(id), Arc::new(records), bytes)
+        });
+        // Worker copies are placed before the registry lock is taken; a
+        // refused commit drops the deposits, which removes them again.
+        let deposits = ctx.inner.blocks.prepare(ctx, blocks, origin);
         let mut outputs = self.outputs.lock();
         if !ctx.inner.pool.origin_is_live(origin) {
             return false;
@@ -178,22 +193,7 @@ impl ShuffleService {
             }
         }
         maps.insert(map_id, origin);
-        let mut total_bytes = 0u64;
-        let mut total_records = 0u64;
-        let deposits: Vec<_> = buckets
-            .into_iter()
-            .map(|(reduce_id, records, bytes)| {
-                total_bytes += bytes as u64;
-                total_records += records.len() as u64;
-                let id = BlockId {
-                    shuffle_id,
-                    map_id,
-                    reduce_id,
-                };
-                (BlockKey::Shuffle(id), Arc::new(records), bytes)
-            })
-            .collect();
-        ctx.inner.blocks.put(ctx, deposits, origin);
+        ctx.inner.blocks.install(deposits);
         drop(outputs);
         ctx.metrics()
             .add(MetricField::ShuffleWriteBytes, total_bytes);
@@ -317,7 +317,7 @@ impl ShuffleService {
     /// `false` and their schedulers race to re-claim.
     ///
     /// Any partial map output the aborted attempt already deposited is
-    /// dropped with the claim — both tiers: leaving it resident would leak
+    /// dropped with the claim — every tier: leaving it resident would leak
     /// `resident_bytes` (and spill files) until shuffle GC, and a
     /// re-claiming owner would interleave its fresh blocks with the
     /// aborted attempt's stale ones. The shuffle is *not* tombstoned: a
@@ -331,7 +331,7 @@ impl ShuffleService {
         };
         drop(stages);
         if let Some(MapStageState::InFlight { waiters }) = abandoned {
-            self.drop_outputs(ctx, shuffle_id, None);
+            self.drop_outputs(ctx, shuffle_id);
             waiters.fire(false);
         }
     }
@@ -379,7 +379,7 @@ impl ShuffleService {
         if had_state {
             self.removed.lock().insert(shuffle_id);
         }
-        self.drop_outputs(ctx, shuffle_id, None);
+        self.drop_outputs(ctx, shuffle_id);
     }
 
     /// Drops every map-output registration produced by the given executor
@@ -396,36 +396,17 @@ impl ShuffleService {
         }
     }
 
-    /// Drops one map partition's registered output (and its blocks) so a
-    /// later [`ShuffleService::claim_recovery`] reports it missing and
-    /// re-runs exactly that map task. The remote data plane calls this
-    /// when a map output's *payload* is unreachable even though the
-    /// driver-side records survive — the referenced bytes died with a
-    /// worker process — before failing the reduce with the matching
-    /// [`FetchFailedError`].
-    pub fn discard_map_output(&self, ctx: &SpangleContext, shuffle_id: usize, map_id: usize) {
-        self.drop_outputs(ctx, shuffle_id, Some(map_id));
-    }
-
-    /// Drops the registrations and the blocks (either tier) of one
-    /// shuffle, or of one of its map partitions. Both go under the
-    /// registry lock, so a concurrent commit cannot register a map whose
-    /// blocks are then dropped: that map would read as empty, not lost.
-    fn drop_outputs(&self, ctx: &SpangleContext, shuffle_id: usize, map_id: Option<usize>) {
+    /// Drops the registrations and the blocks (any tier) of one shuffle.
+    /// Both go under the registry lock, so a concurrent commit cannot
+    /// register a map whose blocks are then dropped: that map would read
+    /// as empty, not lost.
+    fn drop_outputs(&self, ctx: &SpangleContext, shuffle_id: usize) {
         let mut outputs = self.outputs.lock();
-        match (map_id, outputs.get_mut(&shuffle_id)) {
-            (None, _) => {
-                outputs.remove(&shuffle_id);
-            }
-            (Some(map_id), Some(maps)) => {
-                maps.remove(&map_id);
-            }
-            (Some(_), None) => {}
-        }
-        ctx.inner.blocks.discard(|key, _| {
-            matches!(key, BlockKey::Shuffle(id)
-                if id.shuffle_id == shuffle_id && map_id.is_none_or(|m| m == id.map_id))
-        });
+        outputs.remove(&shuffle_id);
+        ctx.inner.blocks.discard(
+            ctx,
+            |key, _| matches!(key, BlockKey::Shuffle(id) if id.shuffle_id == shuffle_id),
+        );
     }
 
     /// Atomically claims the *recovery* of a shuffle whose completed map
@@ -509,6 +490,15 @@ mod tests {
             vec![(0, records, bytes)],
             origin,
         )
+    }
+
+    /// A context whose blocks all stay in the driver, for tests that
+    /// assert driver residency (the process backend bypasses it).
+    fn in_driver(executors: usize) -> SpangleContext {
+        SpangleContext::builder()
+            .executors(executors)
+            .backend(crate::BackendKind::InProc)
+            .build()
     }
 
     fn fetch(ctx: &SpangleContext, id: BlockId) -> Arc<Vec<u64>> {
@@ -610,7 +600,7 @@ mod tests {
     /// walk inside each mutating op).
     #[test]
     fn resident_counter_tracks_every_mutation() {
-        let ctx = SpangleContext::new(2);
+        let ctx = in_driver(2);
         let svc = &ctx.inner.shuffle;
         commit(&ctx, 1, 0, vec![1, 2], BlockOrigin::DRIVER);
         commit(&ctx, 1, 1, vec![3], BlockOrigin::executor(1, 0));
@@ -661,6 +651,7 @@ mod tests {
         // A one-byte watermark spills every spillable block on deposit.
         let ctx = SpangleContext::builder()
             .executors(2)
+            .backend(crate::BackendKind::InProc)
             .memory_high_watermark_bytes(1)
             .spill_to_disk(true)
             .build();
@@ -868,7 +859,7 @@ mod tests {
 
     #[test]
     fn recovery_is_claimed_once_and_keeps_survivors() {
-        let ctx = SpangleContext::new(2);
+        let ctx = in_driver(2);
         let svc = &ctx.inner.shuffle;
         seed_two_map_shuffle(&ctx, 3);
         ctx.kill_executor(0);

@@ -33,8 +33,9 @@ const FRAME_OVERHEAD: usize = 4 + 8 + 8;
 /// many test contexts) never share a directory.
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// FNV-1a 64-bit over the payload — cheap, dependency-free corruption check.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit over the payload — cheap, dependency-free corruption
+/// check, shared with the worker wire frames.
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= b as u64;

@@ -12,11 +12,11 @@
 //! Every block is attributed to the executor incarnation
 //! ([`BlockOrigin`]) that produced it. Killing an executor
 //! ([`crate::SpangleContext::kill_executor`]) discards its blocks of both
-//! kinds and both tiers: a dead incarnation's data is stale on disk too.
-//! A lost cached partition silently falls back to lineage recomputation,
-//! the Spark fault-tolerance contract the paper's iterative algorithms
-//! (PageRank, SGD) lean on; a lost shuffle block surfaces as a typed
-//! [`FetchFailedError`] and the scheduler re-runs its map partition.
+//! kinds and every tier: a dead incarnation's data is stale on disk and in
+//! its worker too. A lost cached partition silently falls back to lineage
+//! recomputation, the Spark fault-tolerance contract the paper's iterative
+//! algorithms (PageRank, SGD) lean on; a lost shuffle block surfaces as a
+//! typed [`FetchFailedError`] and the scheduler re-runs its map partition.
 //!
 //! # Memory tiers
 //!
@@ -33,6 +33,18 @@
 //! Blocks whose element type opted out of the spill codec stay resident;
 //! spilling is an optimisation, never a correctness requirement.
 //!
+//! Under [`crate::BackendKind::Proc`] a third tier, *remote*, replaces the
+//! first for spillable blocks whose origin slot has a worker process: the
+//! depositing task encodes the block with the same codec and `Put`s it in
+//! that worker before it takes the store lock, and the store records only
+//! where the bytes are. A read `Get`s and decodes them without reinstating
+//! the block in the driver. A remote block counts in no driver resident
+//! bytes and is never swept. A peer worker that is dead, torn, or lacks
+//! the block is the torn-spill-file rung; a task whose *own* worker is
+//! unreachable waits for the health plane to declare the slot lost (see
+//! [`crate::backend`]). Unspillable types and degraded slots keep the
+//! driver tiers.
+//!
 //! # The watermark
 //!
 //! Every operation that grows residency — a map-output commit, a cache
@@ -47,7 +59,8 @@
 //! within the watermark whenever the resident blocks are spillable. The
 //! store needs no reservations: an in-process block's bytes are already
 //! allocated when it is deposited, so sweeping before the lock is released
-//! is what bounds residency.
+//! is what bounds residency. The watermark counts driver-resident bytes
+//! only; worker-held bytes are outside it.
 
 use crate::executor::BlockOrigin;
 use crate::metrics::MetricField;
@@ -94,6 +107,27 @@ enum Tier {
     /// Encoded in spill file `file`; `disk_len` is the framed file size,
     /// kept so removal can release the accounted bytes.
     Spilled { file: u64, disk_len: usize },
+    /// Encoded in the worker process of executor `slot`, under `id`.
+    Remote { slot: usize, id: u64 },
+}
+
+/// A block's encoded copy off the driver heap, read outside all locks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum OffHeap {
+    /// Spill file id.
+    Disk(u64),
+    /// Worker slot and block id.
+    Worker(usize, u64),
+}
+
+impl Tier {
+    fn off_heap(&self) -> Option<OffHeap> {
+        match *self {
+            Tier::Resident(_) => None,
+            Tier::Spilled { file, .. } => Some(OffHeap::Disk(file)),
+            Tier::Remote { slot, id } => Some(OffHeap::Worker(slot, id)),
+        }
+    }
 }
 
 /// One stored block with its tier, accounting, and spill identity.
@@ -114,16 +148,42 @@ struct Entry {
 
 /// Outcome of [`BlockStore::get`].
 pub(crate) enum Lookup<T> {
-    /// The records (rehydrated if they were spilled) and their deep size.
+    /// The records (rehydrated or fetched if they were off the heap) and
+    /// their deep size.
     Hit(Arc<Vec<T>>, usize),
     /// No such block.
     Absent,
-    /// The block was spilled and its file is torn; the entry is gone now.
+    /// The block's spill file or worker copy is lost; the entry is gone
+    /// now.
     Torn,
 }
 
-/// Cached partitions and shuffle blocks in two tiers, bounded by the
-/// memory watermark.
+/// Blocks made ready by [`BlockStore::prepare`] for
+/// [`BlockStore::install`]. Worker copies are already placed; dropping the
+/// deposits uninstalled — a refused commit, or a task unwinding — removes
+/// them again.
+pub(crate) struct Deposits<'a> {
+    ctx: &'a SpangleContext,
+    entries: Vec<(BlockKey, Entry)>,
+    /// Worker copies `(slot, id)` these deposits still own.
+    placed: Vec<(usize, u64)>,
+}
+
+impl Drop for Deposits<'_> {
+    fn drop(&mut self) {
+        forget_remote(self.ctx, std::mem::take(&mut self.placed));
+    }
+}
+
+/// Removes worker copies whose entries are gone.
+fn forget_remote(ctx: &SpangleContext, copies: Vec<(usize, u64)>) {
+    if let (Some(backend), false) = (&ctx.inner.backend, copies.is_empty()) {
+        backend.remove(copies);
+    }
+}
+
+/// Cached partitions and shuffle blocks in up to three tiers, bounded by
+/// the memory watermark.
 pub(crate) struct BlockStore {
     blocks: RwLock<HashMap<BlockKey, Entry>>,
     /// Resident bytes per kind ([`SHUFFLE`], [`CACHED`]). They only move
@@ -133,6 +193,9 @@ pub(crate) struct BlockStore {
     /// Monotone access clock feeding each entry's `touch`.
     clock: AtomicU64,
     spill: SpillStore,
+    /// Next worker block id; never reused, so a stale removal cannot hit
+    /// a newer copy.
+    next_remote: AtomicU64,
     /// Resident bytes at which the sweep starts (`usize::MAX`: never).
     watermark: usize,
     /// Whether the sweep may demote blocks at all.
@@ -148,6 +211,7 @@ impl BlockStore {
             resident: Default::default(),
             clock: AtomicU64::new(0),
             spill: SpillStore::default(),
+            next_remote: AtomicU64::new(0),
             watermark,
             spill_enabled,
         }
@@ -157,8 +221,8 @@ impl BlockStore {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Resident bytes of one kind, [`SHUFFLE`] or [`CACHED`] (spilled
-    /// blocks freed their heap bytes and do not count). Read under the
+    /// Resident bytes of one kind, [`SHUFFLE`] or [`CACHED`] (spilled and
+    /// remote blocks hold no heap bytes and do not count). Read under the
     /// read lock, so it never shows a deposit whose sweep is still running.
     pub(crate) fn resident_bytes(&self, kind: usize) -> usize {
         let _settled = self.blocks.read();
@@ -205,93 +269,155 @@ impl BlockStore {
     }
 
     /// Releases one entry's accounting: its resident bytes or its spill
-    /// file.
-    fn release(&self, key: &BlockKey, entry: &Entry) {
+    /// file. A worker copy is queued on `copies` for [`forget_remote`]
+    /// once the lock is released.
+    fn release(&self, key: &BlockKey, entry: &Entry, copies: &mut Vec<(usize, u64)>) {
         match entry.tier {
             Tier::Resident(_) => {
                 self.resident[key.kind()].fetch_sub(entry.bytes, Ordering::Relaxed);
             }
             Tier::Spilled { file, disk_len } => self.spill.remove(file, disk_len),
+            Tier::Remote { slot, id } => copies.push((slot, id)),
         }
     }
 
-    /// Deposits resident blocks `(key, records, deep bytes)` attributed to
-    /// `origin`, releasing any entry they replace, and settles the
-    /// watermark before the lock is released.
-    pub(crate) fn put<T: Data>(
+    /// Readies blocks `(key, records, deep bytes)` attributed to `origin`
+    /// for [`BlockStore::install`], taking no lock. Under the process
+    /// backend a spillable block whose origin slot has a worker is encoded
+    /// and `Put` in that worker here; every other block stays on the heap.
+    pub(crate) fn prepare<'a, T: Data>(
         &self,
-        ctx: &SpangleContext,
-        deposits: impl IntoIterator<Item = (BlockKey, Arc<Vec<T>>, usize)>,
+        ctx: &'a SpangleContext,
+        blocks: impl IntoIterator<Item = (BlockKey, Arc<Vec<T>>, usize)>,
         origin: BlockOrigin,
-    ) {
+    ) -> Deposits<'a> {
         let codec = SpillCodec::of::<T>();
-        let mut blocks = self.blocks.write();
-        for (key, records, bytes) in deposits {
-            self.resident[key.kind()].fetch_add(bytes, Ordering::Relaxed);
+        let worker = match (&ctx.inner.backend, codec, origin.executor_epoch()) {
+            (Some(backend), Some(encoder), Some((slot, _))) if backend.hosts(slot) => {
+                Some((backend, encoder, slot))
+            }
+            _ => None,
+        };
+        let mut deposits = Deposits {
+            ctx,
+            entries: Vec::new(),
+            placed: Vec::new(),
+        };
+        for (key, records, bytes) in blocks {
+            let tier = match worker {
+                Some((backend, encoder, slot)) => {
+                    let id = self.next_remote.fetch_add(1, Ordering::Relaxed);
+                    // Owned before the call, so a task cancelled mid-`Put`
+                    // removes the copy as it unwinds.
+                    deposits.placed.push((slot, id));
+                    if backend.put(slot, id, encoder.encode(records.as_ref())) {
+                        Tier::Remote { slot, id }
+                    } else {
+                        Tier::Resident(records)
+                    }
+                }
+                None => Tier::Resident(records),
+            };
             let entry = Entry {
-                tier: Tier::Resident(records),
+                tier,
                 bytes,
                 origin,
                 codec,
-                touch: AtomicU64::new(self.tick()),
+                touch: AtomicU64::new(0),
             };
+            deposits.entries.push((key, entry));
+        }
+        deposits
+    }
+
+    /// Installs prepared blocks, releasing any entry they replace, and
+    /// settles the watermark before the lock is released.
+    pub(crate) fn install(&self, mut deposits: Deposits<'_>) {
+        let ctx = deposits.ctx;
+        deposits.placed.clear();
+        let mut replaced = Vec::new();
+        let mut blocks = self.blocks.write();
+        for (key, entry) in deposits.entries.drain(..) {
+            if matches!(entry.tier, Tier::Resident(_)) {
+                self.resident[key.kind()].fetch_add(entry.bytes, Ordering::Relaxed);
+            }
+            entry.touch.store(self.tick(), Ordering::Relaxed);
             if let Some(old) = blocks.insert(key, entry) {
-                self.release(&key, &old);
+                self.release(&key, &old, &mut replaced);
             }
         }
         self.settle(ctx, &mut blocks);
+        drop(blocks);
+        forget_remote(ctx, replaced);
+    }
+
+    /// [`BlockStore::prepare`] then [`BlockStore::install`].
+    pub(crate) fn put<T: Data>(
+        &self,
+        ctx: &SpangleContext,
+        blocks: impl IntoIterator<Item = (BlockKey, Arc<Vec<T>>, usize)>,
+        origin: BlockOrigin,
+    ) {
+        self.install(self.prepare(ctx, blocks, origin));
     }
 
     /// Reads one block and bumps its touch. A spilled block is rehydrated,
-    /// which grows residency and so settles the watermark like a deposit.
+    /// which grows residency and so settles the watermark like a deposit;
+    /// a remote block is fetched and decoded, and stays remote.
     pub(crate) fn get<T: Data>(&self, ctx: &SpangleContext, key: BlockKey) -> Lookup<T> {
         loop {
-            // Fast path: a resident block under the read lock. A spilled
-            // one has its file read and decoded outside all locks.
-            let (file, codec) = {
+            // Fast path: a resident block under the read lock. A block off
+            // the heap is read and decoded outside all locks.
+            let (copy, codec, bytes) = {
                 let blocks = self.blocks.read();
                 let Some(entry) = blocks.get(&key) else {
                     return Lookup::Absent;
                 };
-                match &entry.tier {
-                    Tier::Resident(payload) => {
-                        entry.touch.store(self.tick(), Ordering::Relaxed);
-                        return Lookup::Hit(downcast(payload.clone()), entry.bytes);
-                    }
-                    Tier::Spilled { file, .. } => {
-                        (*file, entry.codec.expect("spilled block without a codec"))
-                    }
+                entry.touch.store(self.tick(), Ordering::Relaxed);
+                if let Tier::Resident(payload) = &entry.tier {
+                    return Lookup::Hit(downcast(payload.clone()), entry.bytes);
+                }
+                let codec = entry.codec.expect("a block off the heap has a codec");
+                let copy = entry
+                    .tier
+                    .off_heap()
+                    .expect("every other tier is off the heap");
+                (copy, codec, entry.bytes)
+            };
+            let encoded = match copy {
+                OffHeap::Disk(file) => self.spill.read(file),
+                OffHeap::Worker(slot, id) => {
+                    ctx.inner.backend.as_ref().and_then(|b| b.get(slot, id))
                 }
             };
-            let decoded = self
-                .spill
-                .read(file)
-                .and_then(|payload| codec.decode(&payload));
+            let decoded = match (copy, encoded.and_then(|e| codec.decode(&e))) {
+                (OffHeap::Worker(..), Some(payload)) => {
+                    return Lookup::Hit(downcast(payload), bytes)
+                }
+                (_, decoded) => decoded,
+            };
             let mut blocks = self.blocks.write();
             let Some(entry) = blocks.get_mut(&key) else {
                 return Lookup::Absent;
             };
             // Raced with another rehydrator, a re-spill or a re-deposit:
             // take the read path again.
-            let Tier::Spilled {
-                file: current,
-                disk_len,
-            } = entry.tier
-            else {
-                continue;
-            };
-            if current != file {
+            if entry.tier.off_heap() != Some(copy) {
                 continue;
             }
             let Some(payload) = decoded else {
                 let entry = blocks.remove(&key).expect("entry checked above");
-                self.release(&key, &entry);
+                let mut lost = Vec::new();
+                self.release(&key, &entry, &mut lost);
                 self.debug_check(&blocks);
+                drop(blocks);
+                forget_remote(ctx, lost);
                 return Lookup::Torn;
             };
+            let Tier::Spilled { file, disk_len } = entry.tier else {
+                unreachable!("only a spilled block is rehydrated");
+            };
             entry.tier = Tier::Resident(payload.clone());
-            entry.touch.store(self.tick(), Ordering::Relaxed);
-            let bytes = entry.bytes;
             self.resident[key.kind()].fetch_add(bytes, Ordering::Relaxed);
             self.spill.remove(file, disk_len);
             ctx.metrics().add(MetricField::BlocksRehydrated, 1);
@@ -316,14 +442,18 @@ impl BlockStore {
         let shuffle = &ctx.inner.shuffle;
         let key = BlockKey::Shuffle(id);
         let lookup = match self.get::<T>(ctx, key) {
-            // The map may have committed since that read: read again under
+            // The map may have committed since that read: look again under
             // the registry lock, which commits hold while they install. An
-            // absent bucket of a registered map is then really empty.
+            // absent bucket of a registered map is then really empty. A
+            // present one is read after the lock is released: a worker
+            // read may wait for the health plane, whose kills take it.
             Lookup::Absent => {
-                shuffle.with_registration(id, |registered| match self.get::<T>(ctx, key) {
-                    Lookup::Absent if registered => Lookup::Hit(Arc::new(Vec::new()), 0),
-                    lookup => lookup,
-                })
+                let contains = || self.blocks.read().contains_key(&key);
+                if shuffle.with_registration(id, |registered| registered && !contains()) {
+                    Lookup::Hit(Arc::new(Vec::new()), 0)
+                } else {
+                    self.get::<T>(ctx, key)
+                }
             }
             lookup => lookup,
         };
@@ -413,20 +543,22 @@ impl BlockStore {
         freed
     }
 
-    /// Removes every block, of either tier, for which `doomed(key,
-    /// origin)` holds; spilled ones have their files deleted. Returns the
-    /// `(blocks, logical bytes)` dropped per kind, indexed by [`SHUFFLE`]
-    /// and [`CACHED`].
+    /// Removes every block, of any tier, for which `doomed(key, origin)`
+    /// holds; spilled ones have their files deleted and remote ones their
+    /// worker copies. Returns the `(blocks, logical bytes)` dropped per
+    /// kind, indexed by [`SHUFFLE`] and [`CACHED`].
     pub(crate) fn discard(
         &self,
+        ctx: &SpangleContext,
         doomed: impl Fn(&BlockKey, BlockOrigin) -> bool,
     ) -> [(usize, usize); 2] {
         let mut dropped = [(0, 0); 2];
+        let mut copies = Vec::new();
         let mut blocks = self.blocks.write();
         blocks.retain(|key, entry| {
             let keep = !doomed(key, entry.origin);
             if !keep {
-                self.release(key, entry);
+                self.release(key, entry, &mut copies);
                 let (count, bytes) = &mut dropped[key.kind()];
                 *count += 1;
                 *bytes += entry.bytes;
@@ -434,11 +566,13 @@ impl BlockStore {
             keep
         });
         self.debug_check(&blocks);
+        drop(blocks);
+        forget_remote(ctx, copies);
         dropped
     }
 
     /// Bytes deposited for each reduce partition of one shuffle, summed
-    /// over its map-side blocks (logical record bytes, both tiers). The
+    /// over its map-side blocks (logical record bytes, every tier). The
     /// planner reads this after a map stage completes to decide which
     /// reduce buckets are small enough to merge into one task
     /// ([`crate::SpangleContextBuilder::coalesce_partitions`]).
@@ -454,7 +588,7 @@ impl BlockStore {
         out
     }
 
-    /// Number of stored blocks, both kinds and both tiers.
+    /// Number of stored blocks, both kinds and every tier.
     #[cfg(test)]
     pub(crate) fn num_blocks(&self) -> usize {
         self.blocks.read().len()
@@ -491,6 +625,15 @@ mod tests {
         }
     }
 
+    /// A context whose blocks all stay in the driver: these tests assert
+    /// the driver tiers, which the process backend bypasses.
+    fn in_driver() -> SpangleContext {
+        SpangleContext::builder()
+            .executors(1)
+            .backend(crate::BackendKind::InProc)
+            .build()
+    }
+
     /// An unbounded store; tests that spill call `sweep` directly.
     fn unbounded() -> BlockStore {
         BlockStore::new(usize::MAX, true)
@@ -502,7 +645,7 @@ mod tests {
 
     #[test]
     fn cached_put_get_discard_roundtrip() {
-        let ctx = SpangleContext::new(1);
+        let ctx = in_driver();
         let store = unbounded();
         let key = cached(3, 1);
         assert!(matches!(store.get::<u64>(&ctx, key), Lookup::Absent));
@@ -513,15 +656,15 @@ mod tests {
         );
         assert_eq!(*hit(store.get::<u64>(&ctx, key)), vec![1, 2, 3]);
         assert_eq!(store.resident_bytes(CACHED), 24);
-        assert_eq!(store.discard(|k, _| *k == key), [(0, 0), (1, 24)]);
+        assert_eq!(store.discard(&ctx, |k, _| *k == key), [(0, 0), (1, 24)]);
         assert!(matches!(store.get::<u64>(&ctx, key), Lookup::Absent));
-        assert_eq!(store.discard(|k, _| *k == key), [(0, 0); 2]);
+        assert_eq!(store.discard(&ctx, |k, _| *k == key), [(0, 0); 2]);
         assert_eq!(store.resident_bytes(CACHED), 0);
     }
 
     #[test]
     fn replacing_a_block_swaps_its_accounted_size() {
-        let ctx = SpangleContext::new(1);
+        let ctx = in_driver();
         let store = unbounded();
         store.put(
             &ctx,
@@ -539,7 +682,7 @@ mod tests {
 
     #[test]
     fn discard_drops_only_matching_blocks_per_kind() {
-        let ctx = SpangleContext::new(1);
+        let ctx = in_driver();
         let store = unbounded();
         for p in 0..4 {
             let origin = BlockOrigin::executor(p % 2, 0);
@@ -552,7 +695,7 @@ mod tests {
             BlockOrigin::DRIVER,
         );
         assert_eq!(
-            store.discard(|_, origin| origin.lives_on(1)),
+            store.discard(&ctx, |_, origin| origin.lives_on(1)),
             [(2, 16), (2, 16)]
         );
         for p in 0..4 {
@@ -560,11 +703,14 @@ mod tests {
             assert_eq!(present, p % 2 == 0);
         }
         assert_eq!(
-            store.discard(|key, _| matches!(key, BlockKey::Cached { rdd_id: 2, .. })),
+            store.discard(&ctx, |key, _| matches!(
+                key,
+                BlockKey::Cached { rdd_id: 2, .. }
+            )),
             [(0, 0), (2, 16)]
         );
         assert_eq!(
-            store.discard(|_, origin| origin.lives_on(5)),
+            store.discard(&ctx, |_, origin| origin.lives_on(5)),
             [(0, 0); 2],
             "unknown executor is a no-op"
         );
@@ -574,7 +720,7 @@ mod tests {
 
     #[test]
     fn spilled_blocks_rehydrate_bit_identically_with_accounting() {
-        let ctx = SpangleContext::new(1);
+        let ctx = in_driver();
         let store = unbounded();
         let records: Vec<(u64, f64)> = (0..100).map(|i| (i, i as f64 * 1.5)).collect();
         for map_id in 0..4 {
@@ -613,7 +759,7 @@ mod tests {
 
     #[test]
     fn the_sweep_takes_shuffle_blocks_before_cached_partitions_coldest_first() {
-        let ctx = SpangleContext::new(1);
+        let ctx = in_driver();
         let store = unbounded();
         // The cached partition is the coldest block of all.
         store.put(
@@ -647,13 +793,13 @@ mod tests {
 
     #[test]
     fn discarding_deletes_spill_files_too() {
-        let ctx = SpangleContext::new(1);
+        let ctx = in_driver();
         let store = unbounded();
         let origin = BlockOrigin::executor(0, 0);
         store.put(&ctx, [(cached(1, 0), Arc::new(vec![1u64, 2]), 16)], origin);
         sweep(&store, &ctx, usize::MAX);
         assert!(store.disk_bytes() > 0);
-        assert_eq!(store.discard(|_, o| o.lives_on(0)), [(0, 0), (1, 16)]);
+        assert_eq!(store.discard(&ctx, |_, o| o.lives_on(0)), [(0, 0), (1, 16)]);
         assert_eq!(store.disk_bytes(), 0, "the spill file goes with the block");
         assert!(matches!(
             store.get::<u64>(&ctx, cached(1, 0)),
@@ -663,7 +809,7 @@ mod tests {
 
     #[test]
     fn unspillable_blocks_are_skipped_by_the_sweep() {
-        let ctx = SpangleContext::new(1);
+        let ctx = in_driver();
         let store = unbounded();
         store.put(
             &ctx,
@@ -688,7 +834,7 @@ mod tests {
         const BLOCK: usize = 2 * 1024;
         const THREADS: usize = 4;
         const PER_THREAD: usize = 64;
-        let ctx = SpangleContext::new(1);
+        let ctx = in_driver();
         let store = BlockStore::new(WATERMARK, true);
         let key = |t: usize, i: usize| shuffle(t * PER_THREAD + i);
         std::thread::scope(|scope| {

@@ -1,32 +1,35 @@
 //! The length-prefixed wire protocol spoken between the driver and the
-//! worker processes of the multi-process executor backend.
+//! worker processes of the process backend.
 //!
-//! Frames are hand-rolled over the PR 8 spill primitives (`put_len` and
+//! Frames are hand-rolled over the spill primitives (`put_len` and
 //! `SpillCursor`) — no serialization framework, std only. Every frame is
 //!
 //! ```text
-//! "SPW1" | type: u8 | len: u64 LE | crc: u64 LE | payload (len bytes)
+//! "SPW2" | type: u8 | len: u64 LE | crc: u64 LE | payload (len bytes)
 //! ```
 //!
 //! where `crc` is the FNV-1a64 of the payload (the same hash the spill
 //! files use). A frame that is short, oversized, carries a bad magic, an
 //! unknown type, a mismatched checksum, or a payload its type cannot
 //! decode is *torn*: the reader reports `WireError::Torn` and the
-//! connection is considered broken — the failure discipline above this
-//! layer turns that into a typed fetch failure or a worker-loss wait,
-//! never into silently truncated data.
+//! connection is considered broken — the block store above this layer
+//! turns that into a lost block or a worker-loss wait, never into
+//! silently truncated data.
 //!
 //! The protocol is deliberately small: a worker announces itself with
 //! `Hello`, keeps itself alive with `Heartbeat` (stamped into the
 //! driver's `HealthBoard` by the session reader thread), and otherwise
-//! answers driver `Request`s (`Run` a named operator, `Get` a stored
-//! block, `Stats`, `Shutdown`) with correlated `Reply` frames.
+//! serves driver `Request`s over its byte map — `Put` a block's encoded
+//! bytes, `Get` them back, `Remove` a batch, `Stats`, `Shutdown` — with
+//! correlated `Reply` frames (`Remove` and `Shutdown` get none).
 
 use crate::memsize::{put_len, SpillCursor};
+use crate::spill::fnv1a64;
+use crate::sync::Mutex;
 use std::io::{Read, Write};
 
 /// Frame preamble, first on the wire.
-pub(crate) const MAGIC: [u8; 4] = *b"SPW1";
+pub(crate) const MAGIC: [u8; 4] = *b"SPW2";
 
 /// Upper bound a reader accepts for one payload; anything larger is torn
 /// (a corrupted length prefix would otherwise ask for an absurd
@@ -38,145 +41,64 @@ const FRAME_HEARTBEAT: u8 = 2;
 const FRAME_REQUEST: u8 = 3;
 const FRAME_REPLY: u8 = 4;
 
-const REQ_RUN: u8 = 1;
+const REQ_PUT: u8 = 1;
 const REQ_GET: u8 = 2;
-const REQ_STATS: u8 = 3;
-const REQ_SHUTDOWN: u8 = 4;
+const REQ_REMOVE: u8 = 3;
+const REQ_STATS: u8 = 4;
+const REQ_SHUTDOWN: u8 = 5;
 
-const REPLY_RUN_OK: u8 = 0;
-const REPLY_GET_OK: u8 = 1;
-const REPLY_STATS_OK: u8 = 2;
+const REPLY_STORED: u8 = 1;
+const REPLY_BLOCK: u8 = 2;
 const REPLY_NOT_FOUND: u8 = 3;
-const REPLY_OP_ERROR: u8 = 4;
-const REPLY_SHUTTING_DOWN: u8 = 5;
+const REPLY_STATS: u8 = 4;
 
-const INPUT_INLINE: u8 = 0;
-const INPUT_LOCAL: u8 = 1;
-
-/// FNV-1a64 of `bytes` — the frame checksum (identical to the spill-file
-/// hash, so a torn frame and a corrupt spill page fail the same way).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Identity of one block in a worker's store. The remote data plane keys
-/// blocks `(namespace, index)` where the namespace is a driver-allocated
-/// RDD-id-like tag, so deterministic replay regenerates the same key.
-pub type BlockKey = (u64, u64);
-
-/// Size and checksum of one stored block, as reported by the worker that
-/// holds it. The fetch path verifies the checksum end to end.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BlockMeta {
-    /// Encoded length of the block in bytes.
-    pub len: u64,
-    /// FNV-1a64 of the encoded block.
-    pub checksum: u64,
-}
-
-/// One operator input: bytes shipped inline with the request, or a key
-/// into the worker's own store (the local fast path).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum OpInput {
-    /// The encoded input travels with the request.
-    Inline(Vec<u8>),
-    /// The input is already resident on the worker under this key.
-    Local(BlockKey),
-}
-
-/// A driver-to-worker request body.
+/// A driver-to-worker request body. Block ids are allocated by the
+/// driver's block store and never reused, so a stale `Remove` can never
+/// hit a newer block.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum RequestBody {
-    /// Run the named registry operator over `inputs`, storing its outputs
-    /// under `out_keys` and replying with their [`BlockMeta`]s. Re-running
-    /// with outputs already stored is answered from the store (operators
-    /// are deterministic, so the cached bytes are the recompute's bytes).
-    Run {
-        /// Registry name of the operator.
-        op: String,
-        /// Operator argument bytes (the operator defines the encoding).
-        args: Vec<u8>,
-        /// Operator inputs, in operator-defined order.
-        inputs: Vec<OpInput>,
-        /// Store keys for the operator's outputs, one per output.
-        out_keys: Vec<BlockKey>,
-    },
-    /// Fetch one stored block's bytes.
-    Get {
-        /// Key of the block to fetch.
-        key: BlockKey,
-    },
+    /// Store `bytes` under `id`.
+    Put { id: u64, bytes: Vec<u8> },
+    /// Return the bytes stored under `id`.
+    Get { id: u64 },
+    /// Drop these ids (absent ones are ignored). Not answered.
+    Remove { ids: Vec<u64> },
     /// Report the worker's store size, epoch, and pid.
     Stats,
-    /// Drain and exit.
+    /// Exit. Not answered.
     Shutdown,
 }
 
 /// A worker-to-driver reply body, correlated by request id.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum ReplyBody {
-    /// `Run` succeeded; one meta per requested output key.
-    RunOk(Vec<BlockMeta>),
+    /// `Put` stored the block.
+    Stored,
     /// `Get` found the block.
-    GetOk(Vec<u8>),
-    /// `Stats` snapshot.
-    StatsOk {
-        /// Blocks resident in the worker's store.
+    Block(Vec<u8>),
+    /// `Get` found nothing under the id.
+    NotFound,
+    /// `Stats` snapshot: blocks held, their total bytes, the incarnation
+    /// the worker was spawned for, and its OS pid.
+    Stats {
         blocks: u64,
-        /// Total encoded bytes of those blocks.
         bytes: u64,
-        /// Incarnation the worker was spawned for.
         epoch: u64,
-        /// OS pid of the worker process.
         pid: u64,
     },
-    /// `Get` found nothing under the key.
-    NotFound,
-    /// The operator returned an error (a *task* failure, not a transport
-    /// failure: the worker is healthy and the message explains the op).
-    OpError(String),
-    /// Acknowledges `Shutdown`; the worker exits after sending this.
-    ShuttingDown,
 }
 
 /// One decoded frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Frame {
     /// First frame a worker sends: which slot and incarnation it serves.
-    Hello {
-        /// Executor slot the worker owns.
-        slot: u64,
-        /// Incarnation it was spawned for.
-        epoch: u64,
-    },
-    /// Periodic keepalive. `beats` increments per frame; `op_progress`
-    /// increments only while an operator body is advancing, so the
-    /// driver's no-progress watchdog keeps working through this backend.
-    Heartbeat {
-        /// Monotone keepalive counter.
-        beats: u64,
-        /// Monotone operator-progress counter.
-        op_progress: u64,
-    },
-    /// A driver request.
-    Request {
-        /// Correlates the eventual reply.
-        req_id: u64,
-        /// What to do.
-        body: RequestBody,
-    },
-    /// A worker reply.
-    Reply {
-        /// The request this answers.
-        req_id: u64,
-        /// The answer.
-        body: ReplyBody,
-    },
+    Hello { slot: u64, epoch: u64 },
+    /// Periodic keepalive; `beats` increments per frame.
+    Heartbeat { beats: u64 },
+    /// A driver request; `req_id` correlates the eventual reply.
+    Request { req_id: u64, body: RequestBody },
+    /// A worker reply to request `req_id`.
+    Reply { req_id: u64, body: ReplyBody },
 }
 
 /// Why a frame could not be read.
@@ -216,15 +138,6 @@ fn take_bytes(cur: &mut SpillCursor<'_>) -> Option<Vec<u8>> {
     cur.take(n).map(|b| b.to_vec())
 }
 
-fn put_key(out: &mut Vec<u8>, key: BlockKey) {
-    put_u64(out, key.0);
-    put_u64(out, key.1);
-}
-
-fn take_key(cur: &mut SpillCursor<'_>) -> Option<BlockKey> {
-    Some((cur.u64()?, cur.u64()?))
-}
-
 impl Frame {
     fn frame_type(&self) -> u8 {
         match self {
@@ -242,43 +155,25 @@ impl Frame {
                 put_u64(&mut out, *slot);
                 put_u64(&mut out, *epoch);
             }
-            Frame::Heartbeat { beats, op_progress } => {
-                put_u64(&mut out, *beats);
-                put_u64(&mut out, *op_progress);
-            }
+            Frame::Heartbeat { beats } => put_u64(&mut out, *beats),
             Frame::Request { req_id, body } => {
                 put_u64(&mut out, *req_id);
                 match body {
-                    RequestBody::Run {
-                        op,
-                        args,
-                        inputs,
-                        out_keys,
-                    } => {
-                        out.push(REQ_RUN);
-                        put_bytes(&mut out, op.as_bytes());
-                        put_bytes(&mut out, args);
-                        put_len(&mut out, out_keys.len());
-                        for &key in out_keys {
-                            put_key(&mut out, key);
-                        }
-                        put_len(&mut out, inputs.len());
-                        for input in inputs {
-                            match input {
-                                OpInput::Inline(bytes) => {
-                                    out.push(INPUT_INLINE);
-                                    put_bytes(&mut out, bytes);
-                                }
-                                OpInput::Local(key) => {
-                                    out.push(INPUT_LOCAL);
-                                    put_key(&mut out, *key);
-                                }
-                            }
-                        }
+                    RequestBody::Put { id, bytes } => {
+                        out.push(REQ_PUT);
+                        put_u64(&mut out, *id);
+                        put_bytes(&mut out, bytes);
                     }
-                    RequestBody::Get { key } => {
+                    RequestBody::Get { id } => {
                         out.push(REQ_GET);
-                        put_key(&mut out, *key);
+                        put_u64(&mut out, *id);
+                    }
+                    RequestBody::Remove { ids } => {
+                        out.push(REQ_REMOVE);
+                        put_len(&mut out, ids.len());
+                        for &id in ids {
+                            put_u64(&mut out, id);
+                        }
                     }
                     RequestBody::Stats => out.push(REQ_STATS),
                     RequestBody::Shutdown => out.push(REQ_SHUTDOWN),
@@ -287,36 +182,23 @@ impl Frame {
             Frame::Reply { req_id, body } => {
                 put_u64(&mut out, *req_id);
                 match body {
-                    ReplyBody::RunOk(metas) => {
-                        out.push(REPLY_RUN_OK);
-                        put_len(&mut out, metas.len());
-                        for meta in metas {
-                            put_u64(&mut out, meta.len);
-                            put_u64(&mut out, meta.checksum);
-                        }
-                    }
-                    ReplyBody::GetOk(bytes) => {
-                        out.push(REPLY_GET_OK);
+                    ReplyBody::Stored => out.push(REPLY_STORED),
+                    ReplyBody::Block(bytes) => {
+                        out.push(REPLY_BLOCK);
                         put_bytes(&mut out, bytes);
                     }
-                    ReplyBody::StatsOk {
+                    ReplyBody::NotFound => out.push(REPLY_NOT_FOUND),
+                    ReplyBody::Stats {
                         blocks,
                         bytes,
                         epoch,
                         pid,
                     } => {
-                        out.push(REPLY_STATS_OK);
-                        put_u64(&mut out, *blocks);
-                        put_u64(&mut out, *bytes);
-                        put_u64(&mut out, *epoch);
-                        put_u64(&mut out, *pid);
+                        out.push(REPLY_STATS);
+                        for v in [blocks, bytes, epoch, pid] {
+                            put_u64(&mut out, *v);
+                        }
                     }
-                    ReplyBody::NotFound => out.push(REPLY_NOT_FOUND),
-                    ReplyBody::OpError(msg) => {
-                        out.push(REPLY_OP_ERROR);
-                        put_bytes(&mut out, msg.as_bytes());
-                    }
-                    ReplyBody::ShuttingDown => out.push(REPLY_SHUTTING_DOWN),
                 }
             }
         }
@@ -330,40 +212,20 @@ impl Frame {
                 slot: cur.u64()?,
                 epoch: cur.u64()?,
             },
-            FRAME_HEARTBEAT => Frame::Heartbeat {
-                beats: cur.u64()?,
-                op_progress: cur.u64()?,
-            },
+            FRAME_HEARTBEAT => Frame::Heartbeat { beats: cur.u64()? },
             FRAME_REQUEST => {
                 let req_id = cur.u64()?;
                 let body = match cur.u8()? {
-                    REQ_RUN => {
-                        let op = String::from_utf8(take_bytes(&mut cur)?).ok()?;
-                        let args = take_bytes(&mut cur)?;
-                        let n_keys = cur.len_prefix()?;
-                        let mut out_keys = Vec::with_capacity(n_keys.min(1024));
-                        for _ in 0..n_keys {
-                            out_keys.push(take_key(&mut cur)?);
-                        }
-                        let n_inputs = cur.len_prefix()?;
-                        let mut inputs = Vec::with_capacity(n_inputs.min(1024));
-                        for _ in 0..n_inputs {
-                            inputs.push(match cur.u8()? {
-                                INPUT_INLINE => OpInput::Inline(take_bytes(&mut cur)?),
-                                INPUT_LOCAL => OpInput::Local(take_key(&mut cur)?),
-                                _ => return None,
-                            });
-                        }
-                        RequestBody::Run {
-                            op,
-                            args,
-                            inputs,
-                            out_keys,
-                        }
-                    }
-                    REQ_GET => RequestBody::Get {
-                        key: take_key(&mut cur)?,
+                    REQ_PUT => RequestBody::Put {
+                        id: cur.u64()?,
+                        bytes: take_bytes(&mut cur)?,
                     },
+                    REQ_GET => RequestBody::Get { id: cur.u64()? },
+                    REQ_REMOVE => {
+                        let n = cur.len_prefix()?;
+                        let ids = (0..n).map(|_| cur.u64()).collect::<Option<_>>()?;
+                        RequestBody::Remove { ids }
+                    }
                     REQ_STATS => RequestBody::Stats,
                     REQ_SHUTDOWN => RequestBody::Shutdown,
                     _ => return None,
@@ -373,29 +235,15 @@ impl Frame {
             FRAME_REPLY => {
                 let req_id = cur.u64()?;
                 let body = match cur.u8()? {
-                    REPLY_RUN_OK => {
-                        let n = cur.len_prefix()?;
-                        let mut metas = Vec::with_capacity(n.min(1024));
-                        for _ in 0..n {
-                            metas.push(BlockMeta {
-                                len: cur.u64()?,
-                                checksum: cur.u64()?,
-                            });
-                        }
-                        ReplyBody::RunOk(metas)
-                    }
-                    REPLY_GET_OK => ReplyBody::GetOk(take_bytes(&mut cur)?),
-                    REPLY_STATS_OK => ReplyBody::StatsOk {
+                    REPLY_STORED => ReplyBody::Stored,
+                    REPLY_BLOCK => ReplyBody::Block(take_bytes(&mut cur)?),
+                    REPLY_NOT_FOUND => ReplyBody::NotFound,
+                    REPLY_STATS => ReplyBody::Stats {
                         blocks: cur.u64()?,
                         bytes: cur.u64()?,
                         epoch: cur.u64()?,
                         pid: cur.u64()?,
                     },
-                    REPLY_NOT_FOUND => ReplyBody::NotFound,
-                    REPLY_OP_ERROR => {
-                        ReplyBody::OpError(String::from_utf8(take_bytes(&mut cur)?).ok()?)
-                    }
-                    REPLY_SHUTTING_DOWN => ReplyBody::ShuttingDown,
                     _ => return None,
                 };
                 Frame::Reply { req_id, body }
@@ -419,26 +267,31 @@ impl Frame {
     }
 }
 
-/// Writes one frame. A single buffered `write_all` keeps frames atomic
-/// with respect to interleaved writers sharing the stream behind a lock.
-pub(crate) fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
-    w.write_all(&frame.encode())?;
+/// Writes one frame through a writer shared by several threads. The frame
+/// is encoded before the lock is taken, so encoding a large block never
+/// holds up a keepalive, and one `write_all` keeps frames from
+/// interleaving.
+pub(crate) fn write_frame<W: Write>(w: &Mutex<W>, frame: &Frame) -> std::io::Result<()> {
+    let buf = frame.encode();
+    let mut w = w.lock();
+    w.write_all(&buf)?;
     w.flush()
 }
 
-fn read_exact_or(r: &mut impl Read, buf: &mut [u8], torn: &'static str) -> Result<(), WireError> {
+/// Fills `buf`. A stream that ends before its first byte is a clean
+/// [`WireError::Eof`] when `at_boundary`; every other short read is torn.
+fn read_exact_or(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    at_boundary: bool,
+    torn: &'static str,
+) -> Result<(), WireError> {
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if filled == 0 {
-                    WireError::Eof
-                } else {
-                    // The peer died mid-frame: a short read, not a clean
-                    // close.
-                    WireError::Torn(torn)
-                });
-            }
+            Ok(0) if filled == 0 && at_boundary => return Err(WireError::Eof),
+            // The peer died mid-frame: a short read, not a clean close.
+            Ok(0) => return Err(WireError::Torn(torn)),
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(WireError::Io(e)),
@@ -447,12 +300,25 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], torn: &'static str) -> Resul
     Ok(())
 }
 
+/// Payload bytes read between two calls of [`read_frame_with`]'s hook.
+const READ_CHUNK: usize = 1 << 20;
+
 /// Reads and validates one frame. [`WireError::Eof`] means the peer
 /// closed cleanly between frames; everything else means the connection is
 /// broken and must not be read again.
 pub(crate) fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
+    read_frame_with(r, || {})
+}
+
+/// [`read_frame`], calling `alive` after every mebibyte of payload: a
+/// peer still sending a large block is alive, even though no keepalive
+/// can overtake that block on the stream.
+pub(crate) fn read_frame_with(
+    r: &mut impl Read,
+    mut alive: impl FnMut(),
+) -> Result<Frame, WireError> {
     let mut header = [0u8; 21];
-    read_exact_or(r, &mut header, "short header")?;
+    read_exact_or(r, &mut header, true, "short header")?;
     if header[..4] != MAGIC {
         return Err(WireError::Torn("bad magic"));
     }
@@ -463,7 +329,10 @@ pub(crate) fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
         return Err(WireError::Torn("oversized payload"));
     }
     let mut payload = vec![0u8; len as usize];
-    read_exact_or(r, &mut payload, "short payload")?;
+    for chunk in payload.chunks_mut(READ_CHUNK) {
+        read_exact_or(r, chunk, false, "short payload")?;
+        alive();
+    }
     if fnv1a64(&payload) != crc {
         return Err(WireError::Torn("checksum mismatch"));
     }
@@ -484,63 +353,41 @@ mod tests {
     #[test]
     fn frames_roundtrip() {
         roundtrip(Frame::Hello { slot: 3, epoch: 7 });
-        roundtrip(Frame::Heartbeat {
-            beats: 42,
-            op_progress: 9,
-        });
-        roundtrip(Frame::Request {
-            req_id: 11,
-            body: RequestBody::Run {
-                op: "pr.contrib".into(),
-                args: vec![1, 2, 3],
-                inputs: vec![OpInput::Inline(vec![4, 5]), OpInput::Local((8, 9))],
-                out_keys: vec![(1, 0), (1, 1)],
+        roundtrip(Frame::Heartbeat { beats: 42 });
+        let requests = [
+            RequestBody::Put {
+                id: 9,
+                bytes: vec![1, 2, 3],
             },
-        });
-        roundtrip(Frame::Request {
-            req_id: 12,
-            body: RequestBody::Get { key: (5, 6) },
-        });
-        roundtrip(Frame::Request {
-            req_id: 13,
-            body: RequestBody::Stats,
-        });
-        roundtrip(Frame::Request {
-            req_id: 14,
-            body: RequestBody::Shutdown,
-        });
-        roundtrip(Frame::Reply {
-            req_id: 11,
-            body: ReplyBody::RunOk(vec![BlockMeta {
-                len: 10,
-                checksum: 0xDEAD,
-            }]),
-        });
-        roundtrip(Frame::Reply {
-            req_id: 12,
-            body: ReplyBody::GetOk(vec![7; 100]),
-        });
-        roundtrip(Frame::Reply {
-            req_id: 13,
-            body: ReplyBody::StatsOk {
+            RequestBody::Get { id: 9 },
+            RequestBody::Remove { ids: vec![4, 9] },
+            RequestBody::Remove { ids: vec![] },
+            RequestBody::Stats,
+            RequestBody::Shutdown,
+        ];
+        for (req_id, body) in requests.into_iter().enumerate() {
+            roundtrip(Frame::Request {
+                req_id: req_id as u64,
+                body,
+            });
+        }
+        let replies = [
+            ReplyBody::Stored,
+            ReplyBody::Block(vec![7; 100]),
+            ReplyBody::NotFound,
+            ReplyBody::Stats {
                 blocks: 2,
                 bytes: 64,
                 epoch: 1,
                 pid: 4242,
             },
-        });
-        roundtrip(Frame::Reply {
-            req_id: 14,
-            body: ReplyBody::NotFound,
-        });
-        roundtrip(Frame::Reply {
-            req_id: 15,
-            body: ReplyBody::OpError("boom".into()),
-        });
-        roundtrip(Frame::Reply {
-            req_id: 16,
-            body: ReplyBody::ShuttingDown,
-        });
+        ];
+        for (req_id, body) in replies.into_iter().enumerate() {
+            roundtrip(Frame::Reply {
+                req_id: req_id as u64,
+                body,
+            });
+        }
     }
 
     #[test]
@@ -552,8 +399,9 @@ mod tests {
     #[test]
     fn short_frames_are_torn_not_eof() {
         let full = Frame::Hello { slot: 1, epoch: 2 }.encode();
-        // Truncate inside the header and inside the payload.
-        for cut in [1, 10, full.len() - 1] {
+        // Truncate inside the header, right after it, and inside the
+        // payload.
+        for cut in [1, 10, 21, full.len() - 1] {
             let mut cursor = std::io::Cursor::new(full[..cut].to_vec());
             assert!(
                 matches!(read_frame(&mut cursor), Err(WireError::Torn(_))),
@@ -570,11 +418,7 @@ mod tests {
         assert!(matches!(read_frame(&mut cursor), Err(WireError::Torn(_))));
 
         // Flip one payload byte: the checksum must catch it.
-        let mut bad_crc = Frame::Heartbeat {
-            beats: 1,
-            op_progress: 2,
-        }
-        .encode();
+        let mut bad_crc = Frame::Heartbeat { beats: 1 }.encode();
         let last = bad_crc.len() - 1;
         bad_crc[last] ^= 0xFF;
         let mut cursor = std::io::Cursor::new(bad_crc);

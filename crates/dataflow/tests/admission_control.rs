@@ -10,8 +10,8 @@
 //! tasks sleep, to hold the slot while later submissions are routed.
 
 use spangle_dataflow::{
-    submit_job, HashPartitioner, JobHandle, JobOutcome, PairRdd, SpangleContext, SpeculationConfig,
-    TaskError,
+    submit_job, BackendKind, HashPartitioner, JobHandle, JobOutcome, PairRdd, SpangleContext,
+    SpeculationConfig, TaskError,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -113,6 +113,9 @@ fn overflowing_the_per_priority_queue_bound_rejects_the_job() {
 fn memory_watermark_gates_admission_until_memory_frees() {
     let ctx = SpangleContext::builder()
         .executors(2)
+        // Worker-held blocks are outside the watermark; this test needs
+        // the cache in driver memory.
+        .backend(BackendKind::InProc)
         .memory_high_watermark_bytes(1)
         // Spilling would demote the cache to disk and defeat the gate this
         // test exercises: the queue-until-memory-frees fallback.

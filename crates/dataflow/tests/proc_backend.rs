@@ -1,246 +1,204 @@
-//! Executor-backend integration tests: the remote data plane must
-//! compute bit-identical results under the in-process backend, the
-//! multi-process backend, and the multi-process backend with worker
-//! processes `SIGKILL`ed mid-job — with the kills detected purely by
-//! missed socket heartbeats (no `kill_executor` call anywhere in this
-//! file).
+//! Process-backend integration tests: typed RDDs under
+//! [`BackendKind::Proc`] must compute exactly what they compute in
+//! process, while their spillable shuffle blocks and cached partitions
+//! live in the worker processes — not in the driver — and leave the
+//! workers once the store lets go of them.
 
-use spangle_dataflow::ops;
-use spangle_dataflow::{
-    remote_collect_pairs, remote_map, remote_pagerank_step, remote_source, BackendKind,
-    SpangleContext,
-};
-use std::sync::atomic::AtomicU64;
-use std::time::Duration;
+use spangle_dataflow::shuffle::ShuffleService;
+use spangle_dataflow::{BackendKind, BlockOrigin, HashPartitioner, PairRdd, Rdd, SpangleContext};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-const SEED: u64 = 0xC0FFEE;
-const N_PAGES: u64 = 400;
-const PARTS: usize = 8;
-const ITERS: usize = 4;
 const EXECUTORS: usize = 4;
+const PARTS: usize = 8;
 
-/// The same fixed-point PageRank computed directly from the operator
-/// table, single-threaded — the ground truth every backend must hit
-/// byte-for-byte.
-fn reference_pagerank() -> Vec<(u64, u64)> {
-    let progress = AtomicU64::new(0);
-    let run = |op: &str, args: &[u64], inputs: &[&[u8]]| {
-        ops::run_op(op, &ops::pack_args(args), inputs, &progress).unwrap()
-    };
-    let parts = PARTS as u64;
-    let graph: Vec<Vec<u8>> = (0..parts)
-        .map(|p| run("pr.graph", &[SEED, N_PAGES, parts, p], &[]).remove(0))
-        .collect();
-    let mut ranks: Vec<Vec<u8>> = (0..parts)
-        .map(|p| run("pr.init", &[N_PAGES, parts, p], &[]).remove(0))
-        .collect();
-    for _ in 0..ITERS {
-        let buckets: Vec<Vec<Vec<u8>>> = (0..PARTS)
-            .map(|p| run("pr.contrib", &[parts], &[&graph[p], &ranks[p]]))
-            .collect();
-        ranks = (0..parts)
-            .map(|r| {
-                let inputs: Vec<&[u8]> = (0..PARTS)
-                    .map(|p| buckets[p][r as usize].as_slice())
-                    .collect();
-                run("pr.apply", &[N_PAGES, parts, r], &inputs).remove(0)
-            })
-            .collect();
-    }
-    let mut pairs: Vec<(u64, u64)> = ranks
-        .iter()
-        .flat_map(|b| ops::decode_pairs(b).unwrap())
-        .collect();
-    pairs.sort_unstable();
-    pairs
-}
-
-/// Builds the PageRank lineage over the remote plane and materialises
-/// the final ranks.
-fn remote_pagerank(ctx: &SpangleContext) -> Vec<(u64, u64)> {
-    let graph = remote_source(ctx, "pr.graph", vec![SEED, N_PAGES, PARTS as u64], PARTS);
-    let mut ranks = remote_source(ctx, "pr.init", vec![N_PAGES, PARTS as u64], PARTS);
-    for _ in 0..ITERS {
-        ranks = remote_pagerank_step(&graph, &ranks, N_PAGES, PARTS);
-    }
-    remote_collect_pairs(&ranks).unwrap()
-}
-
-#[test]
-fn remote_plane_matches_direct_operator_reference_inproc() {
+fn context(kind: BackendKind) -> SpangleContext {
     let ctx = SpangleContext::builder()
         .executors(EXECUTORS)
-        .backend(BackendKind::InProc)
+        .backend(kind)
         .build();
-    assert_eq!(ctx.backend_kind(), BackendKind::InProc);
-    assert_eq!(ctx.real_worker_slots(), 0);
-    assert_eq!(remote_pagerank(&ctx), reference_pagerank());
+    if kind == BackendKind::Proc {
+        assert_eq!(
+            ctx.real_worker_slots(),
+            EXECUTORS,
+            "every slot must be served by a worker process (is the \
+             spangle_worker binary missing?)"
+        );
+    }
+    ctx
 }
 
-#[test]
-fn remote_sum_family_matches_reference_inproc() {
-    let ctx = SpangleContext::builder()
-        .executors(2)
-        .backend(BackendKind::InProc)
-        .build();
-    let parts = 4usize;
-    let gen = remote_source(&ctx, "sum.gen", vec![7, 500, 32], parts);
-    let summed = spangle_dataflow::remote_exchange(
-        &gen,
-        "sum.bucket",
-        vec![parts as u64],
-        "sum.merge",
-        vec![],
-        parts,
-    );
-    let got = remote_collect_pairs(&summed).unwrap();
+fn records() -> Vec<(u64, u64)> {
+    (0..4000u64).map(|i| (i * 7919 % 211, i)).collect()
+}
 
-    // Reference: aggregate the generated pairs directly.
-    let progress = AtomicU64::new(0);
-    let mut want: std::collections::BTreeMap<u64, u64> = Default::default();
-    for p in 0..parts as u64 {
-        let block = ops::run_op("sum.gen", &ops::pack_args(&[7, 500, 32, p]), &[], &progress)
-            .unwrap()
-            .remove(0);
-        for (k, v) in ops::decode_pairs(&block).unwrap() {
-            let slot = want.entry(k).or_insert(0);
-            *slot = slot.wrapping_add(v);
+/// What [`Pipeline::run`] returns: sums, joined sums and maxes, and the
+/// persisted RDD's records, each sorted.
+type Results = (Vec<(u64, u64)>, Vec<(u64, (u64, u64))>, Vec<(u64, u64)>);
+
+/// The typed pipeline: a `reduce_by_key`, a `join` against a second
+/// shuffle, and a persisted RDD read twice.
+struct Pipeline {
+    sums: Rdd<(u64, u64)>,
+    joined: Rdd<(u64, (u64, u64))>,
+    cached: Rdd<(u64, u64)>,
+}
+
+impl Pipeline {
+    fn build(ctx: &SpangleContext) -> Self {
+        let partitioner = Arc::new(HashPartitioner::new(PARTS));
+        let pairs = ctx.parallelize(records(), PARTS);
+        let sums = pairs.reduce_by_key(partitioner.clone(), |a, b| a + b);
+        let maxes = pairs.reduce_by_key(partitioner.clone(), |a, b| a.max(b));
+        let joined = sums.join(&maxes, partitioner);
+        let cached = pairs.map(|(k, v)| (k, v * 3 + 1));
+        cached.persist();
+        Pipeline {
+            sums,
+            joined,
+            cached,
         }
     }
-    assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+
+    /// Runs every action; the persisted RDD is read twice so the second
+    /// read is served from the store.
+    fn run(&self) -> Results {
+        fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
+            v.sort_unstable();
+            v
+        }
+        let first = sorted(self.cached.collect().unwrap());
+        assert_eq!(first, sorted(self.cached.collect().unwrap()));
+        (
+            sorted(self.sums.collect().unwrap()),
+            sorted(self.joined.collect().unwrap()),
+            first,
+        )
+    }
+}
+
+fn worker_blocks(ctx: &SpangleContext) -> Vec<u64> {
+    (0..EXECUTORS)
+        .map(|s| ctx.worker_stats(s).expect("worker answers stats").blocks)
+        .collect()
+}
+
+/// Waits (bounded) until every worker holds no block. Lineage GC runs
+/// when the last handle on a shuffle drops, which a job's bookkeeping may
+/// delay by a moment after the action returns.
+fn assert_workers_drain(ctx: &SpangleContext, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let blocks = worker_blocks(ctx);
+        if blocks.iter().all(|&b| b == 0) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{what}: workers still hold blocks {blocks:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]
-fn proc_backend_runs_the_remote_plane_in_real_processes() {
-    let ctx = SpangleContext::builder()
-        .executors(EXECUTORS)
-        .backend(BackendKind::Proc)
-        .build();
+fn worker_slots_are_real_processes() {
+    let ctx = context(BackendKind::Proc);
     assert_eq!(ctx.backend_kind(), BackendKind::Proc);
-    assert_eq!(
-        ctx.real_worker_slots(),
-        EXECUTORS,
-        "every slot must be served by a worker process (is the \
-         spangle_worker binary missing?)"
-    );
     let my_pid = std::process::id();
     for slot in 0..EXECUTORS {
-        let pid = ctx.worker_pid(slot).expect("remote slot has a pid");
-        assert_ne!(pid, my_pid, "a worker is a real separate OS process");
+        let pid = ctx.worker_pid(slot).expect("a worker slot has a pid");
+        assert_ne!(pid, my_pid, "a worker is a separate OS process");
         let stats = ctx.worker_stats(slot).expect("worker answers stats");
-        assert_eq!(stats.pid, pid as u64);
-        assert_eq!(stats.epoch, 0);
+        assert_eq!((stats.pid, stats.epoch, stats.blocks), (pid as u64, 0, 0));
     }
-    assert_eq!(remote_pagerank(&ctx), reference_pagerank());
-    // The blocks live in the worker stores, not the driver.
-    let resident: u64 = (0..EXECUTORS)
+    let inproc = context(BackendKind::InProc);
+    assert_eq!(inproc.backend_kind(), BackendKind::InProc);
+    assert_eq!(inproc.real_worker_slots(), 0);
+    assert_eq!(inproc.worker_stats(0), None);
+}
+
+#[test]
+fn typed_shuffles_and_caches_match_inproc_and_live_in_workers() {
+    let inproc = context(BackendKind::InProc);
+    let want = Pipeline::build(&inproc).run();
+
+    let ctx = context(BackendKind::Proc);
+    let pipeline = Pipeline::build(&ctx);
+    assert_eq!(pipeline.run(), want, "proc results differ from inproc");
+
+    let held: u64 = (0..EXECUTORS)
         .map(|s| ctx.worker_stats(s).expect("stats").bytes)
         .sum();
-    assert!(resident > 0, "worker stores hold the partition bytes");
+    assert!(held > 0, "worker processes hold the blocks");
+    assert_eq!(
+        ctx.shuffle_resident_bytes(),
+        0,
+        "no shuffle block in the driver"
+    );
+    assert_eq!(ctx.cached_bytes(), 0, "no cached partition in the driver");
+
+    pipeline.cached.unpersist();
+    drop(pipeline);
+    assert_workers_drain(&ctx, "after unpersist and drop");
+    assert_eq!(ctx.disk_resident_bytes(), 0);
 }
 
+/// A speculative loser's commit is refused (first write wins), and the
+/// copy it already placed in its own worker is removed with it.
 #[test]
-fn remote_map_echoes_through_worker_stores() {
-    let ctx = SpangleContext::builder()
-        .executors(2)
-        .backend(BackendKind::Proc)
-        .build();
-    let source = remote_source(&ctx, "pr.init", vec![64, 4], 4);
-    let echoed = remote_map(&source, "test.echo", vec![]);
-    let direct = remote_collect_pairs(&source).unwrap();
-    let roundtripped = remote_collect_pairs(&echoed).unwrap();
-    assert_eq!(direct, roundtripped);
-    assert_eq!(direct.len(), 64);
-}
-
-/// The crash-recovery gate (run by `check.sh proc`): one worker process
-/// is `SIGKILL`ed per iteration of the PageRank loop, mid-job. The
-/// driver must detect each death purely from missed socket heartbeats,
-/// quarantine/kill the slot through the standard health path, replay the
-/// dead incarnation's map partitions from lineage, and land on
-/// bit-identical final ranks — `kill_executor` is never called.
-#[test]
-#[ignore = "crash gate: run explicitly via scripts/check.sh proc"]
-fn proc_worker_crash_recovery_is_bit_identical() {
-    let build = || {
-        SpangleContext::builder()
-            .executors(EXECUTORS)
-            .backend(BackendKind::Proc)
-            // Tight heartbeat so each SIGKILL is detected in ~100 ms.
-            .heartbeat_interval(Duration::from_millis(25))
-            .missed_heartbeat_limit(4)
-            // Every reduce partition that trips over a dead worker's
-            // buckets charges the per-job resubmission budget once per
-            // recovery round; four kills over four chained shuffles need
-            // far more than the default 16.
-            .max_resubmissions(512)
-            .max_task_attempts(8)
-            .build()
+fn a_live_losers_refused_commit_leaves_no_worker_copy() {
+    let ctx = context(BackendKind::Proc);
+    let svc = ShuffleService::default();
+    let shuffle_id = usize::MAX;
+    let commit = |value: u64, executor: usize| {
+        svc.commit_map_output(
+            &ctx,
+            shuffle_id,
+            0,
+            vec![(0, vec![value], 8)],
+            BlockOrigin::executor(executor, 0),
+        )
     };
-
-    let reference = reference_pagerank();
-    {
-        let clean_ctx = build();
-        assert_eq!(clean_ctx.real_worker_slots(), EXECUTORS);
-        assert_eq!(remote_pagerank(&clean_ctx), reference, "clean proc run");
-    }
-
-    let ctx = build();
-    assert_eq!(ctx.real_worker_slots(), EXECUTORS);
     let before = ctx.metrics_snapshot();
-    let graph = remote_source(&ctx, "pr.graph", vec![SEED, N_PAGES, PARTS as u64], PARTS);
-    let mut ranks = remote_source(&ctx, "pr.init", vec![N_PAGES, PARTS as u64], PARTS);
-    let mut killed: Vec<(usize, u32)> = Vec::new();
-    for it in 0..ITERS {
-        ranks = remote_pagerank_step(&graph, &ranks, N_PAGES, PARTS);
-        // SIGKILL a different worker each iteration, mid-materialisation:
-        // the killer races the job on purpose.
-        let victim = it % EXECUTORS;
-        let pid_before = ctx.worker_pid(victim);
-        let killer = {
-            let ctx = ctx.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(3));
-                ctx.sigkill_worker(victim)
-            })
-        };
-        let mid = remote_collect_pairs(&ranks).unwrap();
-        assert!(!mid.is_empty());
-        if killer.join().unwrap() {
-            killed.push((victim, pid_before.expect("victim had a process")));
-        }
-    }
-    assert!(!killed.is_empty(), "at least one SIGKILL must land");
+    assert!(commit(111, 0), "the first commit wins");
+    assert!(!commit(222, 1), "the beaten attempt's commit must lose");
+    let delta = ctx.metrics_snapshot() - before;
+    assert_eq!((delta.shuffle_write_bytes, delta.shuffle_records), (8, 1));
+    assert_eq!(worker_blocks(&ctx), vec![1, 0, 0, 0]);
+    svc.remove_shuffle(&ctx, shuffle_id);
+    assert_workers_drain(&ctx, "after shuffle GC");
+}
 
-    // One more materialisation after the last kill so every death is
-    // flushed through detection + replay, then the verdict.
-    let survived = remote_collect_pairs(&ranks).unwrap();
-    assert_eq!(survived, reference, "post-crash ranks are bit-identical");
+/// A peer worker SIGKILLed after the map stage and before the reduce
+/// reads: its blocks are gone, the health plane notices the silent slot,
+/// and lineage recovery lands on the right answer.
+#[test]
+fn a_peer_sigkilled_between_map_and_reduce_recovers() {
+    let ctx = SpangleContext::builder()
+        .executors(EXECUTORS)
+        .backend(BackendKind::Proc)
+        .health_monitoring(true)
+        .heartbeat_interval(Duration::from_millis(25))
+        .missed_heartbeat_limit(4)
+        .max_resubmissions(64)
+        .build();
+    assert_eq!(ctx.real_worker_slots(), EXECUTORS);
+    let sums = ctx
+        .parallelize(records(), PARTS)
+        .reduce_by_key(Arc::new(HashPartitioner::new(PARTS)), |a, b| a + b);
+    let mut want = sums.collect().unwrap();
+    want.sort_unstable();
 
-    let delta_lost = ctx.metrics_snapshot().executors_lost - before.executors_lost;
-    let delta_missed = ctx.metrics_snapshot().heartbeats_missed - before.heartbeats_missed;
-    assert!(
-        delta_lost >= 1,
-        "the health plane must autonomously declare at least one executor \
-         lost (got {delta_lost}) — this test never calls kill_executor"
-    );
-    assert!(
-        delta_missed >= 1,
-        "loss must come from missed socket heartbeats (got {delta_missed})"
-    );
-    // Every *detected* victim was reincarnated as a fresh OS process; the
-    // dead incarnation (and every block it held) is gone with its pid.
-    // Detection is lazy by design — a kill whose blocks no later task
-    // needed may still be undiscovered (stats answers `None`), which is
-    // fine: the delta assertions above prove the path fired.
-    for (slot, old_pid) in killed {
-        if let Some(stats) = ctx.worker_stats(slot) {
-            if stats.epoch > 0 {
-                assert_ne!(
-                    stats.pid, old_pid as u64,
-                    "slot {slot} must be served by a fresh process after the kill"
-                );
-            }
-        }
+    // The map stage's output now sits in the workers; the next action
+    // reuses it and only runs the reduce.
+    let victim = 1;
+    let old_pid = ctx.worker_pid(victim).expect("victim has a process");
+    assert!(ctx.sigkill_worker(victim));
+    let mut got = sums.collect().unwrap();
+    got.sort_unstable();
+    assert_eq!(got, want, "recovered reduce differs from the clean run");
+    if let Some(stats) = ctx.worker_stats(victim) {
+        assert_ne!(stats.pid, old_pid as u64, "a dead worker never answers");
     }
 }

@@ -2,7 +2,7 @@
 //! broadcast variables inside jobs, stage reuse across actions, metrics
 //! plumbing, and executor-loss fault tolerance.
 
-use spangle_dataflow::{HashPartitioner, JobOutcome, PairRdd, SpangleContext};
+use spangle_dataflow::{BackendKind, HashPartitioner, JobOutcome, PairRdd, SpangleContext};
 use std::sync::Arc;
 
 fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
@@ -10,9 +10,18 @@ fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
     v
 }
 
+/// A context whose blocks all stay in the driver, for tests that assert
+/// driver residency: the process backend keeps them in its workers.
+fn in_driver(executors: usize) -> SpangleContext {
+    SpangleContext::builder()
+        .executors(executors)
+        .backend(BackendKind::InProc)
+        .build()
+}
+
 #[test]
 fn dropping_a_shuffled_rdd_frees_its_shuffle_blocks() {
-    let ctx = SpangleContext::new(2);
+    let ctx = in_driver(2);
     let base = ctx.parallelize((0u64..200).map(|i| (i % 10, i)).collect(), 4);
     let reduced = base.reduce_by_key(Arc::new(HashPartitioner::new(4)), |a, b| a + b);
     reduced.count().unwrap();
@@ -346,7 +355,7 @@ fn exhausted_resubmission_budget_aborts_the_job_cleanly() {
 /// next action silently recomputes them from lineage (and only them).
 #[test]
 fn killed_executors_cached_partitions_recompute_from_lineage() {
-    let ctx = SpangleContext::new(2);
+    let ctx = in_driver(2);
     let data: Vec<u64> = (0..100).collect();
     let rdd = ctx.parallelize(data.clone(), 2).map(|x| x * 3);
     rdd.persist();

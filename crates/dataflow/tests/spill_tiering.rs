@@ -3,7 +3,9 @@
 //! tier and rehydrating them on fetch — never by shedding or aborting —
 //! and the answers must be bit-identical to an unconstrained run.
 
-use spangle_dataflow::{HashPartitioner, JobOutcome, PairRdd, SpangleContext, SpeculationConfig};
+use spangle_dataflow::{
+    BackendKind, HashPartitioner, JobOutcome, PairRdd, SpangleContext, SpeculationConfig,
+};
 use spangle_testkit::{run_cases, Rng};
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,6 +18,7 @@ const LOW_WATERMARK: usize = 16 * 1024;
 fn low_watermark_ctx(executors: usize) -> SpangleContext {
     SpangleContext::builder()
         .executors(executors)
+        .backend(BackendKind::InProc)
         .memory_high_watermark_bytes(LOW_WATERMARK)
         .build()
 }
@@ -186,6 +189,7 @@ fn spill_composes_with_executor_kills() {
 
         let ctx = SpangleContext::builder()
             .executors(executors)
+            .backend(BackendKind::InProc)
             .memory_high_watermark_bytes(LOW_WATERMARK)
             .max_resubmissions(10_000)
             .build();
@@ -231,6 +235,7 @@ fn spill_speculation_and_kills_overlap_without_corruption() {
 
         let ctx = SpangleContext::builder()
             .executors(executors)
+            .backend(BackendKind::InProc)
             .memory_high_watermark_bytes(LOW_WATERMARK)
             .speculation(SpeculationConfig {
                 enabled: true,

@@ -120,12 +120,13 @@ run_doc() {
 }
 
 # The executor backend defaults to the in-process pool; this step runs
-# the whole suite with SPANGLE_BACKEND=proc, so every context is served
-# by real worker OS processes speaking the Unix-socket wire protocol,
-# then runs the SIGKILL crash gate: one worker process killed per
-# PageRank iteration, detected purely by missed socket heartbeats,
-# recovered bit-identically from lineage. Tests that pin a backend
-# through the builder win over the env default.
+# the whole suite with SPANGLE_BACKEND=proc, so every context's spillable
+# shuffle blocks and cached partitions live in real worker OS processes
+# behind the Unix-socket wire protocol, then runs the SIGKILL crash gate:
+# fig11's PageRank with one worker process killed per iteration, detected
+# purely by missed socket heartbeats and recovered from lineage to the
+# clean in-process ranks. Tests that pin a backend through the builder
+# win over the env default.
 run_proc() {
     echo "== cargo test with SPANGLE_BACKEND=proc (watchdog ${WATCHDOG_SECS}s)"
     cargo build -q -p spangle-dataflow --bin spangle_worker
@@ -135,7 +136,7 @@ run_proc() {
         watchdog cargo test -q --workspace
     echo "== proc: SIGKILL crash-recovery gate"
     SPANGLE_WORKER_BIN="$worker_bin" \
-        watchdog cargo test -q -p spangle-dataflow --test proc_backend -- --ignored
+        watchdog cargo test -q -p spangle --test proc_crash_gate -- --ignored
 }
 
 run_stress() {
