@@ -43,6 +43,83 @@ impl HierarchicalBitmask {
         }
     }
 
+    /// Builds the hierarchical form straight from ascending set-bit
+    /// positions, without materialising a flat mask: equal to
+    /// `compress(&Bitmask::from_ones(len, ones))`, in time proportional to
+    /// the number of positions plus `len / 4096` upper words.
+    ///
+    /// Positions must be `< len` and ascending; repeats are idempotent.
+    pub fn from_sorted_ones(len: usize, ones: impl IntoIterator<Item = usize>) -> Self {
+        let mut upper = Bitmask::zeros(len.div_ceil(WORD_BITS));
+        let mut lower: Vec<u64> = Vec::new();
+        let mut last_word = None;
+        for i in ones {
+            assert!(i < len, "bit {i} out of range for a {len}-bit mask");
+            let word_idx = i / WORD_BITS;
+            if last_word != Some(word_idx) {
+                assert!(
+                    last_word.is_none_or(|w| w < word_idx),
+                    "positions must be ascending"
+                );
+                upper.set(word_idx, true);
+                lower.push(0);
+                last_word = Some(word_idx);
+            }
+            *lower.last_mut().expect("a word was just pushed") |= 1u64 << (i % WORD_BITS);
+        }
+        HierarchicalBitmask { upper, lower, len }
+    }
+
+    /// Serialises the mask as `len:u64 | upper (Bitmask::write_le) |
+    /// lower_count:u64 | lower words:u64…`, all little-endian: the
+    /// compressed form travels as is.
+    pub fn write_le(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.len as u64).to_le_bytes());
+        self.upper.write_le(out);
+        out.extend_from_slice(&(self.lower.len() as u64).to_le_bytes());
+        for w in &self.lower {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+
+    /// Decodes a mask written by [`HierarchicalBitmask::write_le`] from the
+    /// front of `buf`, returning it and the number of bytes consumed.
+    /// `None` on truncated input or on a layout `compress` cannot produce:
+    /// an upper mask of the wrong length, a lower word count that differs
+    /// from the upper mask's population, a zero lower word, or bits past
+    /// `len`.
+    pub fn read_le(buf: &[u8]) -> Option<(HierarchicalBitmask, usize)> {
+        let read_u64 = |at: usize| -> Option<u64> {
+            Some(u64::from_le_bytes(buf.get(at..at + 8)?.try_into().ok()?))
+        };
+        let len = usize::try_from(read_u64(0)?).ok()?;
+        let (upper, upper_bytes) = Bitmask::read_le(buf.get(8..)?)?;
+        if upper.len() != len.div_ceil(WORD_BITS) {
+            return None;
+        }
+        let mut at = 8 + upper_bytes;
+        let count = usize::try_from(read_u64(at)?).ok()?;
+        if count != upper.count_ones() {
+            return None;
+        }
+        at += 8;
+        let raw = buf.get(at..at.checked_add(count.checked_mul(8)?)?)?;
+        let lower: Vec<u64> = raw
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let tail = len % WORD_BITS;
+        let tail_clear = match (upper.iter_ones().last(), lower.last()) {
+            (Some(word_idx), Some(w)) if word_idx + 1 == upper.len() && tail != 0 => w >> tail == 0,
+            _ => true,
+        };
+        if lower.contains(&0) || !tail_clear {
+            return None;
+        }
+        let used = at + raw.len();
+        Some((HierarchicalBitmask { upper, lower, len }, used))
+    }
+
     /// Expands back to a flat mask.
     pub fn decompress(&self) -> Bitmask {
         let mut out = Bitmask::zeros(self.len);
@@ -204,6 +281,51 @@ mod tests {
             h.mem_size(),
             m.mem_size()
         );
+    }
+
+    #[test]
+    fn codec_round_trips_the_compressed_form() {
+        for (len, every) in [(0, 1), (1, 1), (1000, 1), (10_000, 97), (65_536, 4096)] {
+            let h = HierarchicalBitmask::compress(&sparse_mask(len, every));
+            let mut buf = h.write_le_vec();
+            buf.extend_from_slice(b"tail");
+            let (back, used) = HierarchicalBitmask::read_le(&buf).expect("well-formed");
+            assert_eq!(back, h, "len={len} every={every}");
+            assert_eq!(used, buf.len() - 4, "consumes exactly its own bytes");
+        }
+    }
+
+    #[test]
+    fn codec_refuses_a_truncated_buffer() {
+        let buf = HierarchicalBitmask::compress(&sparse_mask(10_000, 131)).write_le_vec();
+        for cut in 0..buf.len() {
+            assert!(
+                HierarchicalBitmask::read_le(&buf[..cut]).is_none(),
+                "accepted {cut} of {} bytes",
+                buf.len()
+            );
+        }
+    }
+
+    #[test]
+    fn codec_refuses_an_upper_lower_count_mismatch() {
+        let h = HierarchicalBitmask::compress(&sparse_mask(10_000, 131));
+        // One lower word fewer than the upper mask's population, with the
+        // count field and the word list agreeing with each other.
+        let short = HierarchicalBitmask {
+            upper: h.upper.clone(),
+            lower: h.lower[1..].to_vec(),
+            len: h.len,
+        };
+        assert!(HierarchicalBitmask::read_le(&short.write_le_vec()).is_none());
+    }
+
+    impl HierarchicalBitmask {
+        fn write_le_vec(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            self.write_le(&mut out);
+            out
+        }
     }
 
     #[test]

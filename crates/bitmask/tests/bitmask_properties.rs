@@ -109,3 +109,30 @@ fn repr_choice_is_consistent_with_actual_sizes() {
         }
     });
 }
+
+#[test]
+fn hierarchical_from_sorted_ones_equals_compressing_the_flat_mask() {
+    let mut case = 0usize;
+    run_cases(0xB177_00F5, CASES, |rng| {
+        // Every fourth case is empty and every fourth full; lengths are
+        // mostly not multiples of 64, and every eighth is one exactly.
+        case += 1;
+        let len = match case % 8 {
+            0 => 64 * rng.usize_in(0..40),
+            _ => rng.usize_in(0..3000),
+        };
+        let density = match case % 4 {
+            0 => 0.0,
+            1 => 1.0,
+            _ => rng.f64_unit() * 0.2,
+        };
+        let ones: Vec<usize> = (0..len).filter(|_| rng.f64_unit() < density).collect();
+        let flat = Bitmask::from_ones(len, ones.iter().copied());
+        assert_eq!(
+            HierarchicalBitmask::from_sorted_ones(len, ones.iter().copied()),
+            HierarchicalBitmask::compress(&flat),
+            "len={len} ones={}",
+            ones.len()
+        );
+    });
+}

@@ -165,9 +165,14 @@ impl<K: Key, V: Data, C: Data> ShuffleDepDyn for ShuffleDependency<K, V, C> {
                 (reduce_id, bucket, bytes)
             })
             .collect();
-        ctx.inner
-            .shuffle
-            .commit_map_output(&ctx, self.shuffle_id, map_id, deposits, tc.origin());
+        ctx.inner.shuffle.commit_map_output(
+            &ctx,
+            self.shuffle_id,
+            map_id,
+            deposits,
+            tc.origin(),
+            tc.claim,
+        );
     }
 }
 

@@ -97,7 +97,7 @@ use crate::metrics::{JobOutcome, JobReport, MetricField, StageOutcome, StageRepo
 use crate::plan;
 use crate::rdd::pair::ShuffleDepDyn;
 use crate::rdd::{Dependency, LineageNode, Rdd};
-use crate::shuffle::{FetchFailedError, RecoveryClaim, ShuffleClaim};
+use crate::shuffle::{ClaimId, FetchFailedError, RecoveryClaim, ShuffleClaim};
 use crate::sync::channel::{
     unbounded, MuxSender, Receiver, RecvTimeoutError, Sender, Tagged, TryRecvError,
 };
@@ -130,6 +130,9 @@ pub struct TaskContext {
     /// blocks the task deposits are attributed to this incarnation and die
     /// with it.
     pub epoch: u64,
+    /// The shuffle claim a map task runs under (`None` for result
+    /// stages): its commit is refused once the claim was abandoned.
+    pub(crate) claim: Option<ClaimId>,
 }
 
 impl TaskContext {
@@ -321,6 +324,9 @@ struct Attempt {
 struct Stage {
     /// The shuffle this map stage feeds; `None` for the result stage.
     shuffle_id: Option<usize>,
+    /// The claim this job holds on that shuffle for its current run, if
+    /// it owns the stage; the stage's map tasks commit under it.
+    claim: Option<ClaimId>,
     work: StageWork,
     /// Stage indices this stage reads shuffle output from.
     parents: Vec<usize>,
@@ -1139,6 +1145,7 @@ fn build_stages<T: Data, R: Send + 'static>(
         };
         stages.push(Stage {
             shuffle_id: Some(dep.shuffle_id()),
+            claim: None,
             work,
             parents: Vec::new(),
             children: Vec::new(),
@@ -1196,6 +1203,7 @@ fn build_stages<T: Data, R: Send + 'static>(
     };
     stages.push(Stage {
         shuffle_id: None,
+        claim: None,
         work,
         parents: result_parents,
         children: Vec::new(),
@@ -1507,8 +1515,9 @@ impl JobRun {
                     self.watch(idx, shuffle_id);
                     Ok(())
                 }
-                ShuffleClaim::Owner => {
+                ShuffleClaim::Owner(claim) => {
                     self.owned.insert(shuffle_id);
+                    self.stages[idx].claim = Some(claim);
                     self.activate_owned(idx)
                 }
             },
@@ -1769,6 +1778,7 @@ impl JobRun {
         let job_id = self.job_id;
         let stage_id = stage.stage_id;
         let site_rdd = stage.site_rdd;
+        let claim = stage.claim;
         let home = partitions[0];
         let work = Arc::clone(&stage.work);
         let tx = self.tx.clone();
@@ -1813,6 +1823,7 @@ impl JobRun {
                     attempt,
                     executor: info.ran_on,
                     epoch: info.epoch,
+                    claim,
                 };
                 let start = Instant::now();
                 let body = work.as_ref().expect("task group released work early");
@@ -2397,7 +2408,9 @@ impl JobRun {
         }
         let num_maps = self.stages[parent_idx].num_tasks;
         match self.ctx.inner.shuffle.claim_recovery(shuffle_id, num_maps) {
-            RecoveryClaim::Owner { missing } => self.start_map_recovery(parent_idx, missing),
+            RecoveryClaim::Owner { missing, claim } => {
+                self.start_map_recovery(parent_idx, missing, claim)
+            }
             RecoveryClaim::InFlight => {
                 self.watch(parent_idx, shuffle_id);
                 Ok(())
@@ -2410,13 +2423,19 @@ impl JobRun {
     /// stage from lineage: the stage goes back to `Running` under a fresh
     /// stage id with only the missing tasks outstanding — surviving
     /// partitions' output is reused, never recomputed.
-    fn start_map_recovery(&mut self, idx: usize, missing: Vec<usize>) -> Result<(), JobError> {
+    fn start_map_recovery(
+        &mut self,
+        idx: usize,
+        missing: Vec<usize>,
+        claim: ClaimId,
+    ) -> Result<(), JobError> {
         let shuffle_id = self.stages[idx]
             .shuffle_id
             .expect("map recovery targets a shuffle stage");
         self.owned.insert(shuffle_id);
         let snap = self.ctx.metrics_snapshot();
         let stage = &mut self.stages[idx];
+        stage.claim = Some(claim);
         stage.stage_id = self.ctx.new_stage_id();
         stage.state = StageState::Running;
         stage.remaining = missing.len();

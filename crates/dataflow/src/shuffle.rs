@@ -44,6 +44,7 @@ use crate::store::BlockKey;
 use crate::sync::{Mutex, Subscribers};
 use crate::{Data, SpangleContext};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Key of one shuffle block: output of map partition `map_id` destined for
@@ -62,11 +63,21 @@ pub struct BlockId {
 /// `false` that its owner abandoned it (or the shuffle was removed).
 pub type ShuffleCallback = Box<dyn FnOnce(bool) + Send>;
 
+/// One claim on a map stage: the run (first or recovery) that
+/// [`ShuffleService::try_claim`] or [`ShuffleService::claim_recovery`]
+/// handed to its owner. Map tasks commit under it, so a commit that lands
+/// after its claim was abandoned is refused.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct ClaimId(u64);
+
 /// Map-stage progress of one shuffle.
 enum MapStageState {
-    /// Some job claimed the map stage and is running it; `waiters` fire
-    /// when it resolves.
-    InFlight { waiters: Subscribers<bool> },
+    /// Some job claimed the map stage under `claim` and is running it;
+    /// `waiters` fire when it resolves.
+    InFlight {
+        claim: ClaimId,
+        waiters: Subscribers<bool>,
+    },
     /// The map stage ran to completion with this many map partitions.
     Completed { num_maps: usize },
 }
@@ -94,6 +105,8 @@ pub enum RecoveryClaim {
     Owner {
         /// Map partitions whose output must be recomputed, ascending.
         missing: Vec<usize>,
+        /// The claim the recovery's map tasks commit under.
+        claim: ClaimId,
     },
     /// Another scheduler is already re-running the map stage; register a
     /// callback with [`ShuffleService::subscribe`].
@@ -106,9 +119,10 @@ pub enum RecoveryClaim {
 /// Outcome of [`ShuffleService::try_claim`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShuffleClaim {
-    /// The caller now owns the map stage and must run it, then call
+    /// The caller now owns the map stage and must run it, committing its
+    /// map outputs under this claim, then call
     /// [`ShuffleService::mark_completed`] or [`ShuffleService::abandon`].
-    Owner,
+    Owner(ClaimId),
     /// The map stage already ran; its output can be read immediately.
     Completed,
     /// Another scheduler is running the map stage right now; register a
@@ -117,17 +131,30 @@ pub enum ShuffleClaim {
     InFlight,
 }
 
+/// The map-output registry, behind one lock.
+#[derive(Default)]
+struct Registry {
+    /// Per-shuffle record of which executor incarnation produced each map
+    /// partition's output. A map task registers here even when every bucket
+    /// it produced was empty, so "block absent but map registered" means an
+    /// empty bucket while "absent and unregistered" means the output was
+    /// lost with its executor.
+    maps: HashMap<usize, HashMap<usize, BlockOrigin>>,
+    /// Claims released by [`ShuffleService::abandon`]: a commit still
+    /// carrying one is refused. One entry per aborted map stage over the
+    /// context's life (claim ids are never reused).
+    retired: HashSet<ClaimId>,
+}
+
 /// Tracks map-stage ownership and which map outputs are registered.
 #[derive(Default)]
 pub struct ShuffleService {
     /// Per-shuffle map-stage state; absent means "never run, unclaimed".
     stages: Mutex<HashMap<usize, MapStageState>>,
-    /// Per-shuffle registry of which executor incarnation produced each map
-    /// partition's output. A map task registers here even when every bucket
-    /// it produced was empty, so "block absent but map registered" means an
-    /// empty bucket while "absent and unregistered" means the output was
-    /// lost with its executor.
-    outputs: Mutex<HashMap<usize, HashMap<usize, BlockOrigin>>>,
+    /// Source of fresh [`ClaimId`]s.
+    next_claim: AtomicU64,
+    /// Map-output registrations and retired claims.
+    outputs: Mutex<Registry>,
     /// Shuffles torn down by [`ShuffleService::remove_shuffle`] (lineage
     /// GC). A fetch against a tombstoned shuffle fails typed instead of
     /// reading an empty bucket: "never had stage state" (test-seeded) and
@@ -146,9 +173,13 @@ impl ShuffleService {
     /// this attempt won.
     ///
     /// A commit loses when the (shuffle, map) pair is already registered
-    /// by a live incarnation, or when the depositing incarnation itself is
-    /// dead: it was killed mid-task, its blocks were already discarded and
-    /// the attempt is being replayed elsewhere. Losing commits charge no
+    /// by a live incarnation, when the depositing incarnation itself is
+    /// dead (it was killed mid-task, its blocks were already discarded and
+    /// the attempt is being replayed elsewhere), or when `claim`, the
+    /// claim the task ran under, was abandoned: its job aborted and
+    /// dropped the stage's partial output, and a late sibling must not
+    /// leave a bucket behind. Commits without a claim (tests seeding
+    /// shuffles directly) skip that check. Losing commits charge no
     /// shuffle-write volume. Registering even an all-empty commit is how
     /// a shuffle fetch tells a legitimately empty bucket from one lost
     /// with its executor.
@@ -159,6 +190,8 @@ impl ShuffleService {
     /// sees the dead incarnation and loses. Checked before the lock, a
     /// commit racing the kill could register a dead map after the drop,
     /// and once its blocks were discarded the map would read as empty.
+    /// An abandon retires its claim under the same lock, so a commit is
+    /// refused or lands before the abandon drops it.
     pub fn commit_map_output<T: Data>(
         &self,
         ctx: &SpangleContext,
@@ -166,6 +199,7 @@ impl ShuffleService {
         map_id: usize,
         buckets: Vec<(usize, Vec<T>, usize)>,
         origin: BlockOrigin,
+        claim: Option<ClaimId>,
     ) -> bool {
         let mut total_bytes = 0u64;
         let mut total_records = 0u64;
@@ -183,10 +217,12 @@ impl ShuffleService {
         // refused commit drops the deposits, which removes them again.
         let deposits = ctx.inner.blocks.prepare(ctx, blocks, origin);
         let mut outputs = self.outputs.lock();
-        if !ctx.inner.pool.origin_is_live(origin) {
+        if !ctx.inner.pool.origin_is_live(origin)
+            || claim.is_some_and(|c| outputs.retired.contains(&c))
+        {
             return false;
         }
-        let maps = outputs.entry(shuffle_id).or_default();
+        let maps = outputs.maps.entry(shuffle_id).or_default();
         if let Some(existing) = maps.get(&map_id) {
             if ctx.inner.pool.origin_is_live(*existing) {
                 return false;
@@ -210,6 +246,7 @@ impl ShuffleService {
         let outputs = self.outputs.lock();
         read(
             outputs
+                .maps
                 .get(&id.shuffle_id)
                 .is_some_and(|maps| maps.contains_key(&id.map_id)),
         )
@@ -227,7 +264,7 @@ impl ShuffleService {
     /// Deregisters one map partition's output, so a later
     /// [`ShuffleService::claim_recovery`] reports it missing.
     pub(crate) fn lose_map_output(&self, shuffle_id: usize, map_id: usize) {
-        if let Some(maps) = self.outputs.lock().get_mut(&shuffle_id) {
+        if let Some(maps) = self.outputs.lock().maps.get_mut(&shuffle_id) {
             maps.remove(&map_id);
         }
     }
@@ -242,13 +279,8 @@ impl ShuffleService {
             Some(MapStageState::Completed { .. }) => ShuffleClaim::Completed,
             Some(MapStageState::InFlight { .. }) => ShuffleClaim::InFlight,
             None => {
-                stages.insert(
-                    shuffle_id,
-                    MapStageState::InFlight {
-                        waiters: Subscribers::new(),
-                    },
-                );
-                ShuffleClaim::Owner
+                let claim = self.new_claim(&mut stages, shuffle_id);
+                ShuffleClaim::Owner(claim)
             }
         }
     }
@@ -270,7 +302,7 @@ impl ShuffleService {
     pub fn subscribe(&self, shuffle_id: usize, callback: ShuffleCallback) {
         let mut stages = self.stages.lock();
         match stages.get_mut(&shuffle_id) {
-            Some(MapStageState::InFlight { waiters }) => {
+            Some(MapStageState::InFlight { waiters, .. }) => {
                 waiters.push(callback);
             }
             Some(MapStageState::Completed { .. }) => {
@@ -300,13 +332,13 @@ impl ShuffleService {
         let mut stages = self.stages.lock();
         let previous = stages.insert(shuffle_id, MapStageState::Completed { num_maps });
         let outputs = self.outputs.lock();
-        let missing = match outputs.get(&shuffle_id) {
+        let missing = match outputs.maps.get(&shuffle_id) {
             Some(maps) => (0..num_maps).filter(|m| !maps.contains_key(m)).collect(),
             None => (0..num_maps).collect(),
         };
         drop(outputs);
         drop(stages);
-        if let Some(MapStageState::InFlight { waiters }) = previous {
+        if let Some(MapStageState::InFlight { waiters, .. }) = previous {
             waiters.fire(true);
         }
         missing
@@ -320,9 +352,11 @@ impl ShuffleService {
     /// dropped with the claim — every tier: leaving it resident would leak
     /// `resident_bytes` (and spill files) until shuffle GC, and a
     /// re-claiming owner would interleave its fresh blocks with the
-    /// aborted attempt's stale ones. The shuffle is *not* tombstoned: a
-    /// re-claim runs the stage again from scratch, so later fetches are
-    /// legitimate.
+    /// aborted attempt's stale ones. The claim is retired under the
+    /// registry lock before the output is dropped, so a map task of the
+    /// aborted job that is still running has its later commit refused.
+    /// The shuffle is *not* tombstoned: a re-claim runs the stage again
+    /// from scratch, so later fetches are legitimate.
     pub fn abandon(&self, ctx: &SpangleContext, shuffle_id: usize) {
         let mut stages = self.stages.lock();
         let abandoned = match stages.get(&shuffle_id) {
@@ -330,8 +364,8 @@ impl ShuffleService {
             _ => None,
         };
         drop(stages);
-        if let Some(MapStageState::InFlight { waiters }) = abandoned {
-            self.drop_outputs(ctx, shuffle_id);
+        if let Some(MapStageState::InFlight { claim, waiters }) = abandoned {
+            self.drop_outputs(ctx, shuffle_id, Some(claim));
             waiters.fire(false);
         }
     }
@@ -373,13 +407,13 @@ impl ShuffleService {
     pub fn remove_shuffle(&self, ctx: &SpangleContext, shuffle_id: usize) {
         let removed = self.stages.lock().remove(&shuffle_id);
         let had_state = removed.is_some();
-        if let Some(MapStageState::InFlight { waiters }) = removed {
+        if let Some(MapStageState::InFlight { waiters, .. }) = removed {
             waiters.fire(false);
         }
         if had_state {
             self.removed.lock().insert(shuffle_id);
         }
-        self.drop_outputs(ctx, shuffle_id);
+        self.drop_outputs(ctx, shuffle_id, None);
     }
 
     /// Drops every map-output registration produced by the given executor
@@ -391,18 +425,20 @@ impl ShuffleService {
     /// [`FetchFailedError`] on the next fetch so recovery is driven by the
     /// jobs that actually need the data.
     pub fn discard_executor(&self, executor: usize) {
-        for maps in self.outputs.lock().values_mut() {
+        for maps in self.outputs.lock().maps.values_mut() {
             maps.retain(|_, origin| !origin.lives_on(executor));
         }
     }
 
-    /// Drops the registrations and the blocks (any tier) of one shuffle.
-    /// Both go under the registry lock, so a concurrent commit cannot
-    /// register a map whose blocks are then dropped: that map would read
-    /// as empty, not lost.
-    fn drop_outputs(&self, ctx: &SpangleContext, shuffle_id: usize) {
+    /// Retires `claim` (when given), then drops the registrations and the
+    /// blocks (any tier) of one shuffle. All of it goes under the registry
+    /// lock, so a concurrent commit cannot register a map whose blocks are
+    /// then dropped (that map would read as empty, not lost), and a commit
+    /// under the retired claim cannot land afterwards.
+    fn drop_outputs(&self, ctx: &SpangleContext, shuffle_id: usize, claim: Option<ClaimId>) {
         let mut outputs = self.outputs.lock();
-        outputs.remove(&shuffle_id);
+        outputs.retired.extend(claim);
+        outputs.maps.remove(&shuffle_id);
         ctx.inner.blocks.discard(
             ctx,
             |key, _| matches!(key, BlockKey::Shuffle(id) if id.shuffle_id == shuffle_id),
@@ -442,7 +478,7 @@ impl ShuffleService {
         num_maps: usize,
     ) -> RecoveryClaim {
         let outputs = self.outputs.lock();
-        let missing: Vec<usize> = match outputs.get(&shuffle_id) {
+        let missing: Vec<usize> = match outputs.maps.get(&shuffle_id) {
             Some(maps) => (0..num_maps).filter(|m| !maps.contains_key(m)).collect(),
             None => (0..num_maps).collect(),
         };
@@ -450,13 +486,22 @@ impl ShuffleService {
         if missing.is_empty() {
             return RecoveryClaim::Recovered;
         }
+        let claim = self.new_claim(stages, shuffle_id);
+        RecoveryClaim::Owner { missing, claim }
+    }
+
+    /// Puts `shuffle_id` in flight under a fresh claim, with the stage
+    /// lock held.
+    fn new_claim(&self, stages: &mut HashMap<usize, MapStageState>, shuffle_id: usize) -> ClaimId {
+        let claim = ClaimId(self.next_claim.fetch_add(1, Ordering::Relaxed));
         stages.insert(
             shuffle_id,
             MapStageState::InFlight {
+                claim,
                 waiters: Subscribers::new(),
             },
         );
-        RecoveryClaim::Owner { missing }
+        claim
     }
 }
 
@@ -474,13 +519,25 @@ mod tests {
     }
 
     /// Commits `records` as map `map_id`'s only bucket (reduce partition
-    /// 0), eight bytes per record.
+    /// 0), eight bytes per record, without a claim.
     fn commit(
         ctx: &SpangleContext,
         shuffle_id: usize,
         map_id: usize,
         records: Vec<u64>,
         origin: BlockOrigin,
+    ) -> bool {
+        commit_under(ctx, shuffle_id, map_id, records, origin, None)
+    }
+
+    /// [`commit`] under `claim`.
+    fn commit_under(
+        ctx: &SpangleContext,
+        shuffle_id: usize,
+        map_id: usize,
+        records: Vec<u64>,
+        origin: BlockOrigin,
+        claim: Option<ClaimId>,
     ) -> bool {
         let bytes = 8 * records.len();
         ctx.inner.shuffle.commit_map_output(
@@ -489,6 +546,7 @@ mod tests {
             map_id,
             vec![(0, records, bytes)],
             origin,
+            claim,
         )
     }
 
@@ -522,7 +580,8 @@ mod tests {
             1,
             0,
             vec![(3, records, 160)],
-            BlockOrigin::DRIVER
+            BlockOrigin::DRIVER,
+            None
         ));
         let got: Arc<Vec<(u64, f64)>> = ctx.inner.blocks.fetch_shuffle(
             &ctx,
@@ -673,7 +732,7 @@ mod tests {
     #[test]
     fn only_one_claimant_becomes_owner() {
         let svc = ShuffleService::default();
-        assert_eq!(svc.try_claim(3), ShuffleClaim::Owner);
+        assert!(matches!(svc.try_claim(3), ShuffleClaim::Owner(_)));
         assert_eq!(svc.try_claim(3), ShuffleClaim::InFlight);
         svc.mark_completed(3, 4);
         assert_eq!(svc.try_claim(3), ShuffleClaim::Completed);
@@ -683,17 +742,17 @@ mod tests {
     fn abandon_lets_the_next_claimant_own() {
         let ctx = SpangleContext::new(1);
         let svc = ShuffleService::default();
-        assert_eq!(svc.try_claim(1), ShuffleClaim::Owner);
+        assert!(matches!(svc.try_claim(1), ShuffleClaim::Owner(_)));
         svc.abandon(&ctx, 1);
         assert!(!svc.wait_finished(1), "abandoned, not completed");
-        assert_eq!(svc.try_claim(1), ShuffleClaim::Owner);
+        assert!(matches!(svc.try_claim(1), ShuffleClaim::Owner(_)));
     }
 
     #[test]
     fn abandon_drops_the_aborted_attempts_partial_blocks() {
         let ctx = SpangleContext::new(1);
         let svc = &ctx.inner.shuffle;
-        assert_eq!(svc.try_claim(4), ShuffleClaim::Owner);
+        assert!(matches!(svc.try_claim(4), ShuffleClaim::Owner(_)));
         // The owner's map tasks deposit some output, then the job aborts.
         commit(&ctx, 4, 0, vec![1, 2, 3], BlockOrigin::DRIVER);
         // An unrelated completed shuffle must survive the abandon.
@@ -707,14 +766,53 @@ mod tests {
             "the abandoned shuffle's partial blocks must be dropped"
         );
         assert_eq!(ctx.inner.blocks.num_blocks(), 1);
-        assert_eq!(
-            svc.try_claim(4),
-            ShuffleClaim::Owner,
+        assert!(
+            matches!(svc.try_claim(4), ShuffleClaim::Owner(_)),
             "a re-claiming owner starts from a clean slate"
         );
         // Abandon on a completed shuffle stays a no-op.
         svc.abandon(&ctx, 5);
         assert_eq!(ctx.shuffle_resident_bytes(), 8);
+    }
+
+    /// A map task of an aborted job that is still running when the job
+    /// abandons its claim commits afterwards: the commit is refused and
+    /// charges nothing, while the next owner's commits (and claimless
+    /// test seeds) land.
+    #[test]
+    fn a_commit_after_its_claim_was_abandoned_is_refused() {
+        let ctx = in_driver(2);
+        let svc = &ctx.inner.shuffle;
+        let origin = BlockOrigin::executor(1, 0);
+        let ShuffleClaim::Owner(stale) = svc.try_claim(8) else {
+            panic!("the first claimant owns the stage");
+        };
+        assert!(commit_under(&ctx, 8, 0, vec![1], origin, Some(stale)));
+        svc.abandon(&ctx, 8);
+        assert_eq!(ctx.shuffle_resident_bytes(), 0);
+
+        let before = ctx.metrics_snapshot();
+        assert!(
+            !commit_under(&ctx, 8, 1, vec![2, 3], origin, Some(stale)),
+            "a commit under an abandoned claim must lose"
+        );
+        let delta = ctx.metrics_snapshot() - before;
+        assert_eq!(
+            (delta.shuffle_write_bytes, delta.shuffle_records),
+            (0, 0),
+            "refused commits charge nothing"
+        );
+        assert_eq!(ctx.shuffle_resident_bytes(), 0, "no bucket is left behind");
+
+        let ShuffleClaim::Owner(fresh) = svc.try_claim(8) else {
+            panic!("an abandoned stage is re-claimable");
+        };
+        assert_ne!(fresh, stale, "every claim is new");
+        assert!(commit_under(&ctx, 8, 1, vec![4], origin, Some(fresh)));
+        assert!(!commit_under(&ctx, 8, 0, vec![5], origin, Some(stale)));
+        assert!(commit(&ctx, 9, 0, vec![6], origin), "claimless seeds land");
+        assert_eq!(ctx.shuffle_resident_bytes(), 16);
+        assert_eq!(*fetch(&ctx, block(8, 1)), vec![4]);
     }
 
     #[test]
@@ -742,7 +840,7 @@ mod tests {
         let ctx = SpangleContext::new(1);
         let svc = ShuffleService::default();
         let (tx, rx) = crate::sync::channel::unbounded();
-        assert_eq!(svc.try_claim(1), ShuffleClaim::Owner);
+        assert!(matches!(svc.try_claim(1), ShuffleClaim::Owner(_)));
         for _ in 0..3 {
             let tx = tx.clone();
             svc.subscribe(1, Box::new(move |done| tx.send(done).unwrap()));
@@ -755,14 +853,13 @@ mod tests {
         );
         assert!(rx.try_recv().is_err(), "callbacks are one-shot");
 
-        assert_eq!(svc.try_claim(2), ShuffleClaim::Owner);
+        assert!(matches!(svc.try_claim(2), ShuffleClaim::Owner(_)));
         let tx2 = tx.clone();
         svc.subscribe(2, Box::new(move |done| tx2.send(done).unwrap()));
         svc.abandon(&ctx, 2);
         assert!(!rx.try_recv().unwrap(), "abandon notifies with false");
-        assert_eq!(
-            svc.try_claim(2),
-            ShuffleClaim::Owner,
+        assert!(
+            matches!(svc.try_claim(2), ShuffleClaim::Owner(_)),
             "abandoned stage is re-claimable"
         );
     }
@@ -770,7 +867,7 @@ mod tests {
     #[test]
     fn waiters_wake_on_completion() {
         let svc = Arc::new(ShuffleService::default());
-        assert_eq!(svc.try_claim(2), ShuffleClaim::Owner);
+        assert!(matches!(svc.try_claim(2), ShuffleClaim::Owner(_)));
         let waiter = {
             let svc = Arc::clone(&svc);
             std::thread::spawn(move || svc.wait_finished(2))
@@ -797,11 +894,14 @@ mod tests {
                 .into_iter()
                 .map(|t| t.join().unwrap())
                 .collect();
-            let owners = claims.iter().filter(|c| **c == ShuffleClaim::Owner).count();
+            let owners = claims
+                .iter()
+                .filter(|c| matches!(c, ShuffleClaim::Owner(_)))
+                .count();
             assert_eq!(owners, 1, "round {round}: claims were {claims:?}");
             assert!(claims
                 .iter()
-                .all(|c| matches!(c, ShuffleClaim::Owner | ShuffleClaim::InFlight)));
+                .all(|c| matches!(c, ShuffleClaim::Owner(_) | ShuffleClaim::InFlight)));
         }
     }
 
@@ -821,7 +921,7 @@ mod tests {
         let svc = &ctx.inner.shuffle;
         assert_eq!(svc.mark_completed(9, 3), vec![0, 1, 2]);
         let no_buckets: Vec<(usize, Vec<u64>, usize)> = Vec::new();
-        svc.commit_map_output(&ctx, 9, 1, no_buckets, BlockOrigin::DRIVER);
+        svc.commit_map_output(&ctx, 9, 1, no_buckets, BlockOrigin::DRIVER, None);
         assert_eq!(svc.mark_completed(9, 3), vec![0, 2]);
     }
 
@@ -831,7 +931,7 @@ mod tests {
         let no_buckets: Vec<(usize, Vec<u64>, usize)> = Vec::new();
         ctx.inner
             .shuffle
-            .commit_map_output(&ctx, 2, 0, no_buckets, BlockOrigin::DRIVER);
+            .commit_map_output(&ctx, 2, 0, no_buckets, BlockOrigin::DRIVER, None);
         ctx.inner.shuffle.mark_completed(2, 1);
         assert!(fetch(&ctx, block(2, 0)).is_empty());
     }
@@ -864,10 +964,10 @@ mod tests {
         seed_two_map_shuffle(&ctx, 3);
         ctx.kill_executor(0);
         // Map 1's block survived; only map 0 is re-run.
-        assert_eq!(
+        assert!(matches!(
             svc.claim_recovery(3, 2),
-            RecoveryClaim::Owner { missing: vec![0] }
-        );
+            RecoveryClaim::Owner { missing, .. } if missing == vec![0]
+        ));
         assert_eq!(
             svc.claim_recovery(3, 2),
             RecoveryClaim::InFlight,

@@ -158,6 +158,7 @@ fn a_live_losers_refused_commit_leaves_no_worker_copy() {
             0,
             vec![(0, vec![value], 8)],
             BlockOrigin::executor(executor, 0),
+            None,
         )
     };
     let before = ctx.metrics_snapshot();

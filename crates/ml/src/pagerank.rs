@@ -4,15 +4,18 @@
 //! out-neighbours) is decomposed into `A = A' diag(w)`: a 0/1 structure
 //! matrix `A'` (entry `(i, j)` = 1 iff edge `j → i`) and the vector
 //! `w = 1/outdeg`. Because `A'` is binary it is stored as *bitmask-only
-//! adjacency blocks* — one bit per potential edge, hierarchical when the
-//! block is super-sparse — and each iteration computes
+//! adjacency blocks* — one bit per potential edge — and each block takes
+//! whichever of the flat or the hierarchical (super-sparse) form is
+//! smaller, a property of the input rather than a knob. Each iteration
+//! computes
 //!
 //! ```text
 //! p ← α · A'(w ∘ p) + (1 − α)/n
 //! ```
 //!
 //! where `w ∘ p` is a cheap driver-side Hadamard product and `A'(·)` is a
-//! broadcast mask-matvec that never moves a block.
+//! broadcast mask-matvec that never moves a block: each partition sums
+//! its blocks into one partial segment per block row.
 
 use crate::graph::Graph;
 use spangle_bitmask::{Bitmask, HierarchicalBitmask};
@@ -20,6 +23,7 @@ use spangle_dataflow::{
     JobError, MemSize, ModPartitioner, PairRdd, Partitioner, PartitionerSig, Rdd, SpangleContext,
 };
 use spangle_linalg::DenseVector;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,18 +58,25 @@ impl Partitioner<u64> for RowBlockPartitioner {
 /// One adjacency block: pure structure, no payload.
 #[derive(Clone, Debug)]
 pub enum AdjBlock {
-    /// Flat bitmask (sparse blocks).
+    /// Flat bitmask: one bit per cell (denser blocks).
     Flat(Bitmask),
     /// Two-level mask (super-sparse blocks).
     Hier(HierarchicalBitmask),
 }
 
 impl AdjBlock {
-    fn from_mask(mask: Bitmask, super_sparse: bool) -> Self {
-        if super_sparse {
-            AdjBlock::Hier(HierarchicalBitmask::compress(&mask))
+    /// Stores a block of `len` cells whose set cells are `offsets`
+    /// (ascending, distinct) in whichever form is smaller by `mem_size`;
+    /// `super_sparse` forces the hierarchical form. The hierarchical mask
+    /// is built from the offsets directly, so a sparse block never
+    /// allocates its flat mask.
+    fn from_sorted_offsets(len: usize, offsets: &[u32], super_sparse: bool) -> Self {
+        let ones = || offsets.iter().map(|&o| o as usize);
+        let hier = HierarchicalBitmask::from_sorted_ones(len, ones());
+        if super_sparse || hier.mem_size() < flat_mask_bytes(len) {
+            AdjBlock::Hier(hier)
         } else {
-            AdjBlock::Flat(mask)
+            AdjBlock::Flat(Bitmask::from_ones(len, ones()))
         }
     }
 
@@ -94,6 +105,11 @@ impl AdjBlock {
     }
 }
 
+/// `mem_size` of a flat mask over `len` cells, without allocating one.
+fn flat_mask_bytes(len: usize) -> usize {
+    std::mem::size_of::<Bitmask>() + len.div_ceil(64) * std::mem::size_of::<u64>()
+}
+
 impl MemSize for AdjBlock {
     fn mem_size(&self) -> usize {
         match self {
@@ -107,8 +123,8 @@ impl MemSize for AdjBlock {
     }
 
     fn spill_encode(&self, out: &mut Vec<u8>) {
-        // Both variants travel in flat form; `compress` is deterministic,
-        // so the hierarchical layout is rebuilt identically on decode.
+        // Each variant travels in its own form: a hierarchical block is
+        // never expanded to a flat mask on the way out or back.
         match self {
             AdjBlock::Flat(m) => {
                 out.push(0);
@@ -116,26 +132,29 @@ impl MemSize for AdjBlock {
             }
             AdjBlock::Hier(m) => {
                 out.push(1);
-                m.decompress().write_le(out);
+                m.write_le(out);
             }
         }
     }
 
     fn spill_decode(input: &mut spangle_dataflow::SpillCursor<'_>) -> Option<Self> {
-        let tag = input.u8()?;
-        let (mask, used) = Bitmask::read_le(input.rest())?;
+        let (block, used) = match input.u8()? {
+            0 => Bitmask::read_le(input.rest()).map(|(m, used)| (AdjBlock::Flat(m), used))?,
+            1 => HierarchicalBitmask::read_le(input.rest())
+                .map(|(m, used)| (AdjBlock::Hier(m), used))?,
+            _ => return None,
+        };
         input.skip(used)?;
-        match tag {
-            0 => Some(AdjBlock::Flat(mask)),
-            1 => Some(AdjBlock::Hier(HierarchicalBitmask::compress(&mask))),
-            _ => None,
-        }
+        Some(block)
     }
 }
 
 /// The structure matrix `A'` as bitmask-only blocks: entry `(i, j)` = 1
 /// iff there is an edge `j → i` ("rows are destination vertices, columns
 /// are source vertices").
+///
+/// The blocks are persisted while the matrix lives and unpersisted when
+/// it is dropped.
 pub struct AdjacencyMatrix {
     num_vertices: usize,
     block_size: usize,
@@ -145,9 +164,20 @@ pub struct AdjacencyMatrix {
 
 impl AdjacencyMatrix {
     /// Builds the blocks from a graph's edges through one shuffle
-    /// (edge → owning block), storing each block as a flat or hierarchical
-    /// bitmask depending on its density. `super_sparse` forces the
-    /// hierarchical mode (the setting used for LiveJournal in §VII-C).
+    /// (edges → owning block). Each map partition packs its edges as
+    /// `(block id << 32) | offset` and sorts them, so it emits one
+    /// `(block, offsets)` record per block it touches; the reduce side
+    /// appends the runs of one block. Each block is then stored as a flat
+    /// or a hierarchical bitmask, whichever is smaller by `mem_size`
+    /// (hierarchical wins unless nearly every 64-cell word of the block
+    /// holds an edge);
+    /// `super_sparse` forces the hierarchical form (the setting used for
+    /// LiveJournal in §VII-C).
+    ///
+    /// # Panics
+    ///
+    /// When block ids or in-block offsets do not fit in 32 bits
+    /// (`block_size² > 2³²` or more than 2³² blocks).
     pub fn from_graph(
         graph: &Graph,
         block_size: usize,
@@ -156,16 +186,38 @@ impl AdjacencyMatrix {
         let n = graph.num_vertices();
         let grid = n.div_ceil(block_size);
         let num_partitions = graph.edges().num_partitions().max(1);
-
-        // Key each edge by its block id; rows (destinations) vary fastest,
-        // matching the ArrayRDD mapper convention.
         let bs = block_size as u64;
         let grid64 = grid as u64;
-        let keyed = graph.edges().map(move |(src, dst)| {
-            let (gr, gc) = (dst / bs, src / bs);
-            let block_id = gr + gc * grid64;
-            let local = (dst % bs) + (src % bs) * bs;
-            (block_id, local as u32)
+        let fits_u32 = |side: u64| side.checked_mul(side).is_some_and(|cells| cells <= 1 << 32);
+        assert!(
+            fits_u32(bs) && fits_u32(grid64),
+            "block ids and in-block offsets must fit in 32 bits"
+        );
+
+        // Rows (destinations) vary fastest inside a block, matching the
+        // ArrayRDD mapper convention; the offset is taken against the
+        // block's clipped row extent.
+        let n64 = n as u64;
+        let runs = graph.edges().map_partitions(move |edges| {
+            let mut packed: Vec<u64> = edges
+                .iter()
+                .map(|&(src, dst)| {
+                    let (gr, gc) = (dst / bs, src / bs);
+                    let rows = bs.min(n64 - gr * bs);
+                    let offset = (dst % bs) + (src % bs) * rows;
+                    ((gr + gc * grid64) << 32) | offset
+                })
+                .collect();
+            packed.sort_unstable();
+            let mut out: Vec<(u64, Vec<u32>)> = Vec::new();
+            for p in packed {
+                let (block_id, offset) = (p >> 32, p as u32);
+                match out.last_mut() {
+                    Some((id, offsets)) if *id == block_id => offsets.push(offset),
+                    _ => out.push((block_id, vec![offset])),
+                }
+            }
+            out
         });
         // Place every block on the partition of its block row, so each
         // iteration's partial-segment reduce (`matvec`) is shuffle-free.
@@ -174,22 +226,21 @@ impl AdjacencyMatrix {
             num_partitions,
         });
         let sig = partitioner.sig();
-        let grouped = keyed.group_by_key(partitioner);
-        let n_copy = n;
-        let rdd = grouped.map(move |(block_id, locals)| {
+        let grouped = runs.reduce_by_key(partitioner, |mut a, mut b| {
+            a.append(&mut b);
+            a
+        });
+        let rdd = grouped.map(move |(block_id, mut offsets)| {
+            // Runs from several map partitions arrive concatenated, and
+            // duplicate edges collapse here.
+            offsets.sort_unstable();
+            offsets.dedup();
             let gr = (block_id % grid64) as usize;
             let gc = (block_id / grid64) as usize;
-            let rows = block_size.min(n_copy - gr * block_size);
-            let cols = block_size.min(n_copy - gc * block_size);
-            // Locals were computed with the nominal block size; re-map to
-            // the clipped extent.
-            let mut mask = Bitmask::zeros(rows * cols);
-            for l in &locals {
-                let r = (*l as usize) % block_size;
-                let c = (*l as usize) / block_size;
-                mask.set(r + c * rows, true);
-            }
-            (block_id, AdjBlock::from_mask(mask, super_sparse))
+            let rows = block_size.min(n - gr * block_size);
+            let cols = block_size.min(n - gc * block_size);
+            let block = AdjBlock::from_sorted_offsets(rows * cols, &offsets, super_sparse);
+            (block_id, block)
         });
         let rdd = rdd.assert_partitioned(sig);
         rdd.persist();
@@ -219,7 +270,8 @@ impl AdjacencyMatrix {
     }
 
     /// `y = A'·q` with a broadcast vector: per block, every set bit
-    /// `(i, j)` contributes `q[j]` to `y[i]`; partial row segments reduce
+    /// `(i, j)` contributes `q[j]` to `y[i]`. Each partition sums its
+    /// blocks into one partial segment per block row; the segments reduce
     /// per block row.
     pub fn matvec(&self, q: &[f64]) -> Result<Vec<f64>, JobError> {
         assert_eq!(q.len(), self.num_vertices, "dimension mismatch in A'q");
@@ -228,19 +280,19 @@ impl AdjacencyMatrix {
         let bs = self.block_size;
         let grid = self.grid as u64;
         let n = self.num_vertices;
-        let partials = self.rdd.map(move |(block_id, block)| {
-            let gr = (block_id % grid) as usize;
-            let gc = (block_id / grid) as usize;
-            let rows = bs.min(n - gr * bs);
-            let col_base = gc * bs;
+        let partials = self.rdd.map_partitions(move |blocks| {
             let q = bc.value();
-            let mut acc = vec![0.0f64; rows];
-            block.for_each_edge(|local| {
-                let i = local % rows;
-                let j = local / rows;
-                acc[i] += q[col_base + j];
-            });
-            (block_id % grid, acc)
+            let mut segments: HashMap<u64, Vec<f64>> = HashMap::new();
+            for (block_id, block) in blocks {
+                let gr = block_id % grid;
+                let rows = bs.min(n - gr as usize * bs);
+                let col_base = (block_id / grid) as usize * bs;
+                let acc = segments.entry(gr).or_insert_with(|| vec![0.0; rows]);
+                block.for_each_edge(|local| {
+                    acc[local % rows] += q[col_base + local / rows];
+                });
+            }
+            segments.into_iter().collect::<Vec<_>>()
         });
         let n_parts = self.rdd.num_partitions();
         // The build-time layout put every block of block row `gr` on
@@ -269,38 +321,55 @@ impl AdjacencyMatrix {
     /// degree vector consistent with the structure matrix even when the
     /// input edge list contains duplicates.
     pub fn col_counts(&self) -> Result<Vec<u64>, JobError> {
+        Ok(self.col_counts_and_bytes()?.0)
+    }
+
+    /// [`AdjacencyMatrix::col_counts`] and [`AdjacencyMatrix::mem_bytes`]
+    /// from one pass over the blocks. Each partition sums its blocks into
+    /// one count segment per block column.
+    fn col_counts_and_bytes(&self) -> Result<(Vec<u64>, usize), JobError> {
         let bs = self.block_size;
         let grid = self.grid as u64;
         let n = self.num_vertices;
-        let counts = self.rdd.run_partitions(move |_, blocks| {
-            let mut local: Vec<(u64, Vec<u64>)> = Vec::new();
+        let parts = self.rdd.run_partitions(move |_, blocks| {
+            let mut segments: HashMap<u64, Vec<u64>> = HashMap::new();
+            let mut bytes = 0usize;
             for (block_id, block) in blocks {
-                let gr = (block_id % grid) as usize;
-                let gc = (block_id / grid) as usize;
-                let rows = bs.min(n - gr * bs);
-                let cols = bs.min(n - gc * bs);
-                let mut acc = vec![0u64; cols];
-                block.for_each_edge(|local_off| {
-                    acc[local_off / rows] += 1;
+                bytes += block.mem_size();
+                let gc = block_id / grid;
+                let rows = bs.min(n - (block_id % grid) as usize * bs);
+                let cols = bs.min(n - gc as usize * bs);
+                let acc = segments.entry(gc).or_insert_with(|| vec![0; cols]);
+                block.for_each_edge(|local| {
+                    acc[local / rows] += 1;
                 });
-                local.push((gc as u64, acc));
             }
-            local
+            (segments, bytes)
         })?;
         let mut out = vec![0u64; self.num_vertices];
-        for part in counts {
-            for (gc, acc) in part {
+        let mut total_bytes = 0;
+        for (segs, bytes) in parts {
+            total_bytes += bytes;
+            for (gc, acc) in segs {
                 let base = gc as usize * self.block_size;
-                for (j, c) in acc.iter().enumerate() {
-                    out[base + j] += c;
+                for (o, c) in out[base..base + acc.len()].iter_mut().zip(&acc) {
+                    *o += c;
                 }
             }
         }
-        Ok(out)
+        Ok((out, total_bytes))
     }
 
     fn context(&self) -> SpangleContext {
         self.rdd.context().clone()
+    }
+}
+
+impl Drop for AdjacencyMatrix {
+    fn drop(&mut self) {
+        // The cached blocks die with the matrix on every exit path,
+        // early error returns included.
+        self.rdd.unpersist();
     }
 }
 
@@ -313,6 +382,10 @@ pub struct PageRankResult {
     pub iteration_times: Vec<Duration>,
     /// Wall time of matrix construction (graph → adjacency blocks).
     pub build_time: Duration,
+    /// Mask storage of the adjacency blocks in bytes
+    /// ([`AdjacencyMatrix::mem_bytes`]): shows which block form the size
+    /// rule picked.
+    pub adjacency_bytes: usize,
 }
 
 /// Runs the customised PageRank of §VI-B on `graph`.
@@ -330,8 +403,8 @@ pub fn pagerank(
     adj.rdd().count()?;
     // w = 1/outdeg over *distinct* out-edges (the bitmask stores each edge
     // once); 0 for dangling vertices.
-    let w: Vec<f64> = adj
-        .col_counts()?
+    let (degrees, adjacency_bytes) = adj.col_counts_and_bytes()?;
+    let w: Vec<f64> = degrees
         .into_iter()
         .map(|d| if d == 0 { 0.0 } else { 1.0 / d as f64 })
         .collect();
@@ -354,6 +427,7 @@ pub fn pagerank(
         ranks: DenseVector::column(p),
         iteration_times,
         build_time,
+        adjacency_bytes,
     })
 }
 
@@ -470,22 +544,112 @@ mod tests {
         );
     }
 
+    /// Flat-mask bytes of every stored block, computed from its extent.
+    fn flat_bytes(adj: &AdjacencyMatrix, block_size: usize) -> usize {
+        let n = adj.num_vertices();
+        let grid = n.div_ceil(block_size) as u64;
+        adj.rdd()
+            .collect()
+            .unwrap()
+            .iter()
+            .map(|(id, _)| {
+                let rows = block_size.min(n - (id % grid) as usize * block_size);
+                let cols = block_size.min(n - (id / grid) as usize * block_size);
+                Bitmask::zeros(rows * cols).mem_size()
+            })
+            .sum()
+    }
+
     #[test]
     fn hierarchical_blocks_shrink_super_sparse_graphs() {
         let ctx = SpangleContext::new(2);
-        // 16k vertices, only 2k edges: blocks are overwhelmingly empty.
+        // 16k vertices, only 2k edges: blocks are overwhelmingly empty,
+        // so the size rule picks the hierarchical form without being
+        // forced to.
         let g = Graph::power_law(&ctx, 16_384, 2_000, 9, 4);
-        let flat = AdjacencyMatrix::from_graph(&g, 2048, false)
-            .unwrap()
-            .mem_bytes()
-            .unwrap();
-        let hier = AdjacencyMatrix::from_graph(&g, 2048, true)
-            .unwrap()
-            .mem_bytes()
-            .unwrap();
+        let adj = AdjacencyMatrix::from_graph(&g, 2048, false).unwrap();
+        let auto = adj.mem_bytes().unwrap();
+        let flat = flat_bytes(&adj, 2048);
         assert!(
-            hier * 2 < flat,
-            "hierarchical masks ({hier} B) should at least halve flat masks ({flat} B)"
+            auto * 2 < flat,
+            "default-mode masks ({auto} B) should at least halve flat masks ({flat} B)"
         );
+    }
+
+    #[test]
+    fn block_form_follows_density() {
+        let ctx = SpangleContext::new(2);
+        // Block (0, 0) of a 512-vertex graph in 64-wide blocks is half
+        // full; the other 64 edges scatter over the remaining 63 blocks.
+        let mut edges: Vec<(u64, u64)> = (0..64u64)
+            .flat_map(|s| {
+                (0..64u64)
+                    .filter(move |d| (s + d) % 2 == 0)
+                    .map(move |d| (s, d))
+            })
+            .collect();
+        edges.extend((64..512u64).step_by(7).map(|s| (s, (s * 37 + 100) % 512)));
+        let g = Graph::from_edges(&ctx, 512, edges.clone(), 3);
+        let adj = AdjacencyMatrix::from_graph(&g, 64, false).unwrap();
+        for (id, block) in adj.rdd().collect().unwrap() {
+            match (id, &block) {
+                (0, AdjBlock::Flat(_)) => assert_eq!(block.num_edges(), 2048),
+                (0, AdjBlock::Hier(_)) => panic!("the dense block must stay flat"),
+                (_, AdjBlock::Hier(_)) => assert!(block.num_edges() < 64, "block {id}"),
+                (_, AdjBlock::Flat(_)) => panic!("super-sparse block {id} stayed flat"),
+            }
+        }
+        let result = pagerank(&g, 64, false, 0.85, 20).unwrap();
+        let expected = pagerank_reference(512, &edges, 0.85, 20);
+        for (i, (a, b)) in result.ranks.as_slice().iter().zip(&expected).enumerate() {
+            assert!((a - b).abs() < 1e-12, "vertex {i}: {a} vs {b}");
+        }
+        assert_eq!(result.adjacency_bytes, adj.mem_bytes().unwrap());
+    }
+
+    #[test]
+    fn pagerank_leaves_the_cache_as_it_found_it() {
+        // `cached_bytes` counts driver-resident partitions, so the blocks
+        // must stay in the driver (the process backend moves them out).
+        let ctx = SpangleContext::builder()
+            .executors(2)
+            .backend(spangle_dataflow::BackendKind::InProc)
+            .build();
+        let g = Graph::power_law(&ctx, 1024, 8_000, 3, 4);
+        g.edges().persist();
+        g.num_edges().unwrap();
+        let before = ctx.cached_bytes();
+        assert!(before > 0, "the edge list itself is cached");
+        pagerank(&g, 128, false, 0.85, 3).unwrap();
+        assert_eq!(ctx.cached_bytes(), before);
+
+        // The guard is the matrix itself: dropping it on any path frees
+        // its blocks.
+        let adj = AdjacencyMatrix::from_graph(&g, 128, false).unwrap();
+        adj.rdd().count().unwrap();
+        assert!(ctx.cached_bytes() > before);
+        drop(adj);
+        assert_eq!(ctx.cached_bytes(), before);
+    }
+
+    #[test]
+    fn blocks_round_trip_through_the_spill_codec() {
+        let ctx = SpangleContext::new(2);
+        let g = Graph::power_law(&ctx, 2048, 20_000, 5, 4);
+        for super_sparse in [false, true] {
+            let adj = AdjacencyMatrix::from_graph(&g, 256, super_sparse).unwrap();
+            for (_, block) in adj.rdd().collect().unwrap() {
+                let mut buf = Vec::new();
+                block.spill_encode(&mut buf);
+                let mut cursor = spangle_dataflow::SpillCursor::new(&buf);
+                let back = AdjBlock::spill_decode(&mut cursor).expect("decodes");
+                assert_eq!(cursor.remaining(), 0);
+                match (&block, &back) {
+                    (AdjBlock::Flat(a), AdjBlock::Flat(b)) => assert_eq!(a, b),
+                    (AdjBlock::Hier(a), AdjBlock::Hier(b)) => assert_eq!(a, b),
+                    _ => panic!("the block form changed in transit"),
+                }
+            }
+        }
     }
 }
