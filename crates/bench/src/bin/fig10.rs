@@ -8,7 +8,10 @@
 //! Mawi on dense systems.
 
 use spangle_baselines::{BlockMatrix, CooBlock, CscBlock, DenseBlock, LocalArrayEngine};
-use spangle_bench::{banner, ms, time, write_bench_json, Json, Table};
+use spangle_bench::{
+    banner, counter_entries, machine_entries, ms, print_counters, time, write_bench_json, Json,
+    Table,
+};
 use spangle_core::{ArrayMeta, ChunkPolicy};
 use spangle_dataflow::{JobReport, MetricsSnapshot, SpangleContext};
 use spangle_linalg::{DenseVector, DistMatrix};
@@ -93,28 +96,16 @@ fn unit_vec(n: usize) -> Vec<f64> {
 }
 
 /// Machine-readable record of one spangle op for `BENCH_fig10.json`:
-/// wall time, the run's shuffle traffic, and the planner rewrite
-/// counters from the job's scheduler report.
+/// wall time, the job's task queue wait, and every runtime counter's
+/// change over the op.
 fn op_json(op: &str, wall: Duration, delta: &MetricsSnapshot, report: Option<&JobReport>) -> Json {
-    Json::obj(vec![
+    let queue_wait_ms = report.map_or(0.0, |r| r.queue_wait_nanos as f64 / 1e6);
+    let head = [
         ("op", Json::Str(op.into())),
         ("wall_ms", Json::F64(wall.as_secs_f64() * 1e3)),
-        ("shuffle_write_bytes", Json::U64(delta.shuffle_write_bytes)),
-        ("shuffle_read_bytes", Json::U64(delta.shuffle_read_bytes)),
-        ("stages_fused", Json::U64(delta.stages_fused)),
-        ("shuffles_elided", Json::U64(delta.shuffles_elided)),
-        (
-            "partitions_coalesced",
-            Json::U64(delta.partitions_coalesced),
-        ),
-        (
-            "queue_wait_ms",
-            Json::F64(report.map_or(0.0, |r| r.queue_wait_nanos as f64 / 1e6)),
-        ),
-        ("tasks_speculated", Json::U64(delta.tasks_speculated)),
-        ("speculation_wins", Json::U64(delta.speculation_wins)),
-        ("tasks_cancelled", Json::U64(delta.tasks_cancelled)),
-    ])
+        ("queue_wait_ms", Json::F64(queue_wait_ms)),
+    ];
+    Json::obj(head.into_iter().chain(counter_entries(delta)).collect())
 }
 
 fn main() {
@@ -338,51 +329,13 @@ fn main() {
             .iter()
             .map(|(_, r)| r.queue_wait_nanos / 1_000_000)
             .sum();
-        let snap = ctx.metrics_snapshot();
         println!(
-            "   cluster so far: steals per executor {:?}, busy ms [{}], task queue wait {} ms, \
-             {} executors lost, {} fetch failures, {} map partitions recomputed",
+            "   cluster so far: steals per executor {:?}, busy ms [{}], task queue wait {} ms",
             ctx.executor_steals(),
             busy_ms.join(", "),
             queue_wait_ms,
-            snap.executors_lost,
-            snap.fetch_failures,
-            snap.map_partitions_recomputed,
         );
-        println!(
-            "   admission so far: {} rejected, {} deadlined, queue wait {:.1} ms, \
-             queue peak {}, memory peak {} KiB (cache peak {} KiB), {} partitions evicted",
-            snap.jobs_rejected,
-            snap.jobs_deadlined,
-            snap.admission_queue_wait_nanos as f64 / 1e6,
-            snap.admission_queue_peak,
-            snap.memory_highwater_bytes / 1024,
-            snap.cache_highwater_bytes / 1024,
-            snap.partitions_evicted,
-        );
-        println!(
-            "   spill so far: {} blocks out, {} back, {} KiB written, disk peak {} KiB",
-            snap.blocks_spilled,
-            snap.blocks_rehydrated,
-            snap.spill_bytes / 1024,
-            snap.disk_resident_bytes / 1024,
-        );
-        println!(
-            "   planner so far: {} narrow chains fused, {} shuffles elided, {} partitions coalesced",
-            snap.stages_fused, snap.shuffles_elided, snap.partitions_coalesced,
-        );
-        println!(
-            "   speculation so far: {} launched, {} won, {} tasks cancelled",
-            snap.tasks_speculated, snap.speculation_wins, snap.tasks_cancelled,
-        );
-        println!(
-            "   health so far: {} heartbeats missed, {} watchdog trips, \
-             {} executors quarantined, {:.1} ms retry backoff",
-            snap.heartbeats_missed,
-            snap.watchdog_trips,
-            snap.executors_quarantined,
-            snap.backoff_nanos as f64 / 1e6,
-        );
+        print_counters("counters so far", &ctx.metrics_snapshot());
         json_workloads.push(Json::obj(vec![
             ("name", Json::Str(w.name.into())),
             ("rows", Json::U64(w.rows as u64)),
@@ -409,29 +362,21 @@ fn main() {
     // (post-spill) and the spill tier's activity, gated alongside wall
     // clock by `bench_compare`.
     let final_snap = ctx.metrics_snapshot();
-    write_bench_json(
-        "fig10",
-        &Json::obj(vec![
-            ("figure", Json::Str("fig10".into())),
-            (
-                "description",
-                Json::Str("ML core operations (MxV, VtxM, MtM) on the spangle engine".into()),
-            ),
-            (
-                "memory_peak_bytes",
-                Json::U64(final_snap.memory_highwater_bytes),
-            ),
-            ("blocks_spilled", Json::U64(final_snap.blocks_spilled)),
-            ("blocks_rehydrated", Json::U64(final_snap.blocks_rehydrated)),
-            ("spill_bytes", Json::U64(final_snap.spill_bytes)),
-            ("heartbeats_missed", Json::U64(final_snap.heartbeats_missed)),
-            ("watchdog_trips", Json::U64(final_snap.watchdog_trips)),
-            (
-                "executors_quarantined",
-                Json::U64(final_snap.executors_quarantined),
-            ),
-            ("backoff_nanos", Json::U64(final_snap.backoff_nanos)),
-            ("workloads", Json::Arr(json_workloads)),
-        ]),
-    );
+    let head = [
+        ("figure", Json::Str("fig10".into())),
+        (
+            "description",
+            Json::Str("ML core operations (MxV, VtxM, MtM) on the spangle engine".into()),
+        ),
+        (
+            "memory_peak_bytes",
+            Json::U64(final_snap.memory_highwater_bytes),
+        ),
+    ];
+    let entries = head
+        .into_iter()
+        .chain(machine_entries(&ctx))
+        .chain(counter_entries(&final_snap))
+        .chain([("workloads", Json::Arr(json_workloads))]);
+    write_bench_json("fig10", &Json::obj(entries.collect()));
 }

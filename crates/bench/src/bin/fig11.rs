@@ -11,7 +11,10 @@
 //! prints the adjacency's mask bytes, which show the block form chosen.
 
 use spangle_baselines::{pagerank_edge_list, pagerank_pregel_like};
-use spangle_bench::{banner, ms, secs, time, write_bench_json, Json, Table};
+use spangle_bench::{
+    banner, counter_entries, machine_entries, ms, print_counters, secs, time, write_bench_json,
+    Json, Table,
+};
 use spangle_dataflow::SpangleContext;
 use spangle_ml::{pagerank, Graph};
 use std::time::Duration;
@@ -123,63 +126,41 @@ fn main() {
             ms(last),
             format!("{:.4}", res.ranks.as_slice().iter().sum::<f64>()),
         ]);
-        let stages_run: usize = reports.iter().map(|r| r.stages_run()).sum();
-        let stages_skipped: usize = reports.iter().map(|r| r.stages_skipped()).sum();
         let peak = reports
             .iter()
             .map(|r| r.max_concurrent_stages)
             .max()
             .unwrap_or(0);
-        let stolen: usize = reports.iter().map(|r| r.tasks_stolen()).sum();
         let worst_skew = reports
             .iter()
             .filter_map(|r| r.busy_skew())
             .fold(0.0f64, f64::max);
         let queue_wait_ms: u64 = reports.iter().map(|r| r.queue_wait_nanos / 1_000_000).sum();
-        let fetch_failures: usize = reports.iter().map(|r| r.fetch_failures()).sum();
-        let maps_recomputed: usize = reports.iter().map(|r| r.map_partitions_recomputed()).sum();
-        let fused: usize = reports.iter().map(|r| r.stages_fused()).sum();
-        let elided: usize = reports.iter().map(|r| r.shuffles_elided()).sum();
-        let coalesced: usize = reports.iter().map(|r| r.partitions_coalesced()).sum();
-        let speculated: usize = reports.iter().map(|r| r.tasks_speculated()).sum();
-        let spec_wins: usize = reports.iter().map(|r| r.speculation_wins()).sum();
-        let cancelled: usize = reports.iter().map(|r| r.tasks_cancelled()).sum();
-        let watchdogs: usize = reports.iter().map(|r| r.watchdog_trips()).sum();
-        let backoff_nanos: u64 = reports.iter().map(|r| r.backoff_nanos()).sum();
+        let admission_wait_ms: u64 = reports
+            .iter()
+            .map(|r| r.admission_wait_nanos / 1_000_000)
+            .sum();
         println!(
-            "-- {}: spangle scheduler ran {} jobs ({} stages run, {} skipped, peak {} concurrent stages, {} tasks stolen, worst busy skew {:.2}, total queue wait {} ms, {} fetch failures, {} map partitions recomputed)",
+            "-- {}: spangle scheduler ran {} jobs ({} stages run, {} skipped, peak {} concurrent stages, worst busy skew {:.2}, total queue wait {} ms, admission wait {} ms)",
             spec.name,
             reports.len(),
-            stages_run,
-            stages_skipped,
+            run_delta.stages_run,
+            run_delta.stages_skipped,
             peak,
-            stolen,
             worst_skew,
             queue_wait_ms,
-            fetch_failures,
-            maps_recomputed,
-        );
-        println!(
-            "   planner: {fused} narrow chains fused, {elided} shuffles elided, \
-             {coalesced} partitions coalesced"
+            admission_wait_ms,
         );
         println!(
             "   adjacency: {} KiB of masks for {} edges",
             res.adjacency_bytes / 1024,
             spec.edges,
         );
-        println!(
-            "   speculation: {speculated} launched, {spec_wins} won, \
-             {cancelled} tasks cancelled"
-        );
-        println!(
-            "   health: {watchdogs} watchdog trips, {:.1} ms retry backoff",
-            backoff_nanos as f64 / 1e6,
-        );
+        print_counters("counters this run", &run_delta);
         if let Some(longest) = reports.iter().max_by_key(|r| r.wall_nanos) {
             println!("   slowest job: {longest}");
         }
-        json_graphs.push(Json::obj(vec![
+        let head = [
             ("name", Json::Str(spec.name.into())),
             ("vertices", Json::U64(spec.vertices as u64)),
             ("edges", Json::U64(spec.edges as u64)),
@@ -188,50 +169,12 @@ fn main() {
             ("avg_iter_ms", Json::F64(avg.as_secs_f64() * 1e3)),
             ("last_iter_ms", Json::F64(last.as_secs_f64() * 1e3)),
             ("jobs", Json::U64(reports.len() as u64)),
-            ("stages_run", Json::U64(stages_run as u64)),
-            ("stages_skipped", Json::U64(stages_skipped as u64)),
-            (
-                "shuffle_write_bytes",
-                Json::U64(run_delta.shuffle_write_bytes),
-            ),
-            (
-                "shuffle_read_bytes",
-                Json::U64(run_delta.shuffle_read_bytes),
-            ),
-            ("stages_fused", Json::U64(fused as u64)),
-            ("shuffles_elided", Json::U64(elided as u64)),
-            ("partitions_coalesced", Json::U64(coalesced as u64)),
-            ("tasks_speculated", Json::U64(speculated as u64)),
-            ("speculation_wins", Json::U64(spec_wins as u64)),
-            ("tasks_cancelled", Json::U64(cancelled as u64)),
-            ("watchdog_trips", Json::U64(watchdogs as u64)),
-            ("backoff_nanos", Json::U64(backoff_nanos)),
-            ("blocks_spilled", Json::U64(run_delta.blocks_spilled)),
-            ("blocks_rehydrated", Json::U64(run_delta.blocks_rehydrated)),
-            ("spill_bytes", Json::U64(run_delta.spill_bytes)),
-        ]));
-        let snap = ctx.metrics_snapshot();
-        let admission_wait_ms: u64 = reports
-            .iter()
-            .map(|r| r.admission_wait_nanos / 1_000_000)
-            .sum();
-        println!(
-            "   admission: {} rejected, {} deadlined so far, run queue wait {} ms, \
-             queue peak {}, memory peak {} KiB (cache peak {} KiB)",
-            snap.jobs_rejected,
-            snap.jobs_deadlined,
-            admission_wait_ms,
-            snap.admission_queue_peak,
-            snap.memory_highwater_bytes / 1024,
-            snap.cache_highwater_bytes / 1024,
-        );
-        println!(
-            "   spill: {} blocks out, {} back this run ({} KiB written so far, disk peak {} KiB)",
-            run_delta.blocks_spilled,
-            run_delta.blocks_rehydrated,
-            snap.spill_bytes / 1024,
-            snap.disk_resident_bytes / 1024,
-        );
+        ];
+        json_graphs.push(Json::obj(
+            head.into_iter()
+                .chain(counter_entries(&run_delta))
+                .collect(),
+        ));
 
         // Spark edge-list.
         let (res, total) =
@@ -265,31 +208,22 @@ fn main() {
 
     // Figure-level memory trajectory for the bench_compare memory gate.
     let final_snap = ctx.metrics_snapshot();
-    write_bench_json(
-        "fig11",
-        &Json::obj(vec![
-            ("figure", Json::Str("fig11".into())),
-            (
-                "description",
-                Json::Str(
-                    "PageRank end-to-end and per-iteration times on the spangle engine".into(),
-                ),
-            ),
-            (
-                "memory_peak_bytes",
-                Json::U64(final_snap.memory_highwater_bytes),
-            ),
-            ("blocks_spilled", Json::U64(final_snap.blocks_spilled)),
-            ("blocks_rehydrated", Json::U64(final_snap.blocks_rehydrated)),
-            ("spill_bytes", Json::U64(final_snap.spill_bytes)),
-            ("heartbeats_missed", Json::U64(final_snap.heartbeats_missed)),
-            ("watchdog_trips", Json::U64(final_snap.watchdog_trips)),
-            (
-                "executors_quarantined",
-                Json::U64(final_snap.executors_quarantined),
-            ),
-            ("backoff_nanos", Json::U64(final_snap.backoff_nanos)),
-            ("graphs", Json::Arr(json_graphs)),
-        ]),
-    );
+    print_counters("counters so far", &final_snap);
+    let head = [
+        ("figure", Json::Str("fig11".into())),
+        (
+            "description",
+            Json::Str("PageRank end-to-end and per-iteration times on the spangle engine".into()),
+        ),
+        (
+            "memory_peak_bytes",
+            Json::U64(final_snap.memory_highwater_bytes),
+        ),
+    ];
+    let entries = head
+        .into_iter()
+        .chain(machine_entries(&ctx))
+        .chain(counter_entries(&final_snap))
+        .chain([("graphs", Json::Arr(json_graphs))]);
+    write_bench_json("fig11", &Json::obj(entries.collect()));
 }

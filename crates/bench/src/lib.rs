@@ -17,6 +17,7 @@
 //! cargo run -p spangle-bench --release --bin table3
 //! ```
 
+use spangle_dataflow::{MetricsSnapshot, SpangleContext};
 use std::time::{Duration, Instant};
 
 pub mod criterion;
@@ -194,6 +195,33 @@ pub fn backend_label() -> &'static str {
         spangle_dataflow::BackendKind::InProc => "inproc",
         spangle_dataflow::BackendKind::Proc => "proc",
     }
+}
+
+/// Prints every runtime counter in `snap` under `label`, as `name=value`
+/// pairs, four to a line.
+pub fn print_counters(label: &str, snap: &MetricsSnapshot) {
+    let pairs: Vec<String> = snap.fields().map(|(n, v)| format!("{n}={v}")).collect();
+    println!("   {label}:");
+    for line in pairs.chunks(4) {
+        println!("     {}", line.join("  "));
+    }
+}
+
+/// Every runtime counter in `snap` as a JSON object entry named after its
+/// [`MetricsSnapshot`] field.
+pub fn counter_entries(snap: &MetricsSnapshot) -> impl Iterator<Item = (&'static str, Json)> + '_ {
+    snap.fields().map(|(name, value)| (name, Json::U64(value)))
+}
+
+/// The machine a figure ran on, as JSON object entries: the cores
+/// available to the process and the context's executor count (executors
+/// beyond the core count time-share them).
+pub fn machine_entries(ctx: &SpangleContext) -> [(&'static str, Json); 2] {
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    [
+        ("available_parallelism", Json::U64(cores as u64)),
+        ("executors", Json::U64(ctx.num_executors() as u64)),
+    ]
 }
 
 /// Writes a figure harness's machine-readable results to

@@ -67,7 +67,9 @@ pub use executor::{
 };
 pub use health::{HealthConfig, RetryBackoffConfig};
 pub use memsize::{put_len, MemSize, SpillCursor};
-pub use metrics::{JobOutcome, JobReport, MetricsSnapshot, StageOutcome, StageReport};
+pub use metrics::{
+    JobOutcome, JobReport, MetricsSnapshot, StageCounters, StageOutcome, StageReport,
+};
 pub use partitioner::{
     HashPartitioner, ModPartitioner, Partitioner, PartitionerSig, RangePartitioner,
 };

@@ -7,6 +7,14 @@
 //! and the peak number of concurrently running stages — which the
 //! experiment binaries print to show how the event-driven scheduler
 //! overlapped sibling stages.
+//!
+//! Every counter is declared once, as one row of the `counter_table!`
+//! invocation below. A row names the counter's variant and field name,
+//! its kind (summed, or a high-water mark), its scope (context-wide only,
+//! or also per stage) and its documentation. The table generates the
+//! context's storage, [`MetricsSnapshot`] with its subtraction and its
+//! [`MetricsSnapshot::fields`] listing, the per-stage [`StageCounters`],
+//! and the [`JobReport`] accessors that sum them.
 
 use crate::sync::Mutex;
 use std::collections::VecDeque;
@@ -17,47 +25,300 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// oldest-first). Override via `SpangleContext::builder()`.
 pub(crate) const DEFAULT_JOB_REPORT_HISTORY: usize = 256;
 
+/// How a counter accumulates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// Bumped with [`Metrics::add`]; a snapshot difference is the amount
+    /// added in between.
+    Sum,
+    /// A high-water mark raised with [`Metrics::raise`] (`fetch_max`). It
+    /// stays monotone, so a snapshot difference is how far the peak rose.
+    Max,
+}
+
+/// Whether a counter is also kept per stage, in [`StageCounters`] (whose
+/// docs give the rules).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Scope {
+    /// Context-wide only.
+    Context,
+    /// Also counted per stage run, into the stage and the context together.
+    Stage,
+    /// Reported per stage as the context-wide activity observed while the
+    /// stage's run was in flight.
+    Window,
+}
+
+/// Generates every counter view from one table: [`MetricField`] (with
+/// `ALL`, `name`, `kind` and `scope`), the [`Metrics`] storage and
+/// snapshot, [`MetricsSnapshot`] with `Sub` and `fields`, [`StageCounters`]
+/// and the summing [`JobReport`] accessors. A row reads
+/// `Variant field: Kind, Scope;`, and a stage-scoped row gives the type
+/// its stage counter and job accessor use: `Stage(usize)`.
+macro_rules! counter_table {
+    ($(
+        $(#[doc = $doc:literal])*
+        $variant:ident $field:ident: $kind:ident, $scope:ident $(($sty:ty))?;
+    )*) => {
+        /// Names of the runtime counters, one per row of the counter table.
+        #[derive(Clone, Copy, Debug)]
+        pub(crate) enum MetricField {
+            $($variant,)*
+        }
+
+        impl MetricField {
+            /// Every counter, in table order.
+            pub(crate) const ALL: &'static [MetricField] = &[$(MetricField::$variant,)*];
+
+            /// The counter's field name in [`MetricsSnapshot`].
+            pub(crate) fn name(self) -> &'static str {
+                match self {
+                    $(MetricField::$variant => stringify!($field),)*
+                }
+            }
+
+            pub(crate) fn kind(self) -> Kind {
+                match self {
+                    $(MetricField::$variant => Kind::$kind,)*
+                }
+            }
+
+            pub(crate) fn scope(self) -> Scope {
+                match self {
+                    $(MetricField::$variant => Scope::$scope,)*
+                }
+            }
+        }
+
+        /// A point-in-time copy of all counters. Subtract two snapshots to
+        /// get the cost of one job.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $($(#[doc = $doc])* pub $field: u64,)*
+        }
+
+        impl MetricsSnapshot {
+            pub(crate) fn get(&self, field: MetricField) -> u64 {
+                match field {
+                    $(MetricField::$variant => self.$field,)*
+                }
+            }
+        }
+
+        impl std::ops::Sub for MetricsSnapshot {
+            type Output = MetricsSnapshot;
+
+            fn sub(self, rhs: MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($field: self.$field - rhs.$field,)*
+                }
+            }
+        }
+
+        impl Metrics {
+            /// Copies the current counter values.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($field: self.counter(MetricField::$variant).load(Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        /// One stage run's share of the stage-scoped counters. Each field
+        /// is documented on the [`MetricsSnapshot`] field of the same name.
+        ///
+        /// Most are counted by the scheduler into the stage and the
+        /// context together. Every run of a stage starts from zero — a map
+        /// stage's recovery run too, which counts into its stage report
+        /// and the snapshot alike, as `stages_run` counts the run itself —
+        /// and a skipped stage counts nothing, so a job's [`JobReport`]
+        /// sums equal the job's snapshot delta. The spill counters
+        /// (`blocks_spilled`, `blocks_rehydrated`, `spill_bytes`) are the
+        /// exception: they are the context-wide activity observed while
+        /// the run was in flight (the counter when the stage is reported
+        /// minus its value when the run started). The block store bumps
+        /// them, not the stage, so concurrent stages may both observe the
+        /// same spill: the attribution is "activity during the stage", not
+        /// strict causality.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct StageCounters {
+            $($(
+                #[doc = concat!("This stage's [`MetricsSnapshot::", stringify!($field), "`].")]
+                pub $field: $sty,
+            )?)*
+        }
+
+        impl StageCounters {
+            /// Counts `amount` of a stage-scoped counter.
+            pub(crate) fn add(&mut self, field: MetricField, amount: u64) {
+                debug_assert_eq!(field.scope(), Scope::Stage, "{}", field.name());
+                match field {
+                    $($(MetricField::$variant => self.$field += amount as $sty,)?)*
+                    _ => unreachable!("{} is not a stage-scoped counter", field.name()),
+                }
+            }
+
+            /// These counters with the window-scoped ones filled in from
+            /// the context's counters `now` and at the run's start.
+            pub(crate) fn with_window(
+                mut self,
+                now: &MetricsSnapshot,
+                start: &MetricsSnapshot,
+            ) -> Self {
+                $($(
+                    if MetricField::$variant.scope() == Scope::Window {
+                        self.$field = (now.$field - start.$field) as $sty;
+                    }
+                )?)*
+                self
+            }
+
+            /// Every stage-scoped counter as `(name, value)`, in table
+            /// order; the names are [`MetricsSnapshot`] field names.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$($({
+                    let value: $sty = self.$field;
+                    (stringify!($field), value as u64)
+                },)?)*]
+                .into_iter()
+            }
+        }
+
+        impl JobReport {
+            $($(
+                #[doc = concat!(
+                    "[`StageCounters::", stringify!($field), "`] summed over this job's stages."
+                )]
+                pub fn $field(&self) -> $sty {
+                    self.stages.iter().map(|s| s.counters.$field).sum()
+                }
+            )?)*
+        }
+    };
+}
+
+counter_table! {
+    /// Stages whose tasks actually ran. A map stage's recovery run counts
+    /// again.
+    StagesRun stages_run: Sum, Context;
+    /// Map stages skipped because their shuffle output already existed.
+    StagesSkipped stages_skipped: Sum, Context;
+    /// Task attempts started (including retries).
+    TasksRun tasks_run: Sum, Context;
+    /// Task attempts that ran on an executor other than the one their
+    /// partition was placed on (work stealing; charged as "remote"). The
+    /// context counts an attempt when it starts, its stage when the
+    /// driver receives its completion event.
+    TasksStolen tasks_stolen: Sum, Stage(usize);
+    /// Task attempts re-submitted after a failure.
+    TaskRetries task_retries: Sum, Context;
+    /// Deep bytes written to the shuffle service.
+    ShuffleWriteBytes shuffle_write_bytes: Sum, Context;
+    /// Deep bytes fetched from the shuffle service.
+    ShuffleReadBytes shuffle_read_bytes: Sum, Context;
+    /// Records written to the shuffle service.
+    ShuffleRecords shuffle_records: Sum, Context;
+    /// Persisted partitions served from the block store.
+    CacheHits cache_hits: Sum, Context;
+    /// Persisted partitions that had to be (re)computed.
+    CacheMisses cache_misses: Sum, Context;
+    /// Partitions recomputed due to task retries.
+    Recomputations recomputations: Sum, Context;
+    /// Bytes replicated to executors by broadcasts.
+    BroadcastBytes broadcast_bytes: Sum, Context;
+    /// Executors killed (each loss discards the incarnation's shuffle
+    /// blocks and cached partitions and seats a replacement).
+    ExecutorsLost executors_lost: Sum, Context;
+    /// Reduce-side fetches that found a shuffle block lost with its
+    /// executor (`TaskError::FetchFailed`); each parked its attempt until
+    /// the map output was rebuilt.
+    FetchFailures fetch_failures: Sum, Stage(usize);
+    /// Map partitions recomputed from lineage to rebuild lost shuffle
+    /// output (only the missing partitions re-run, never whole stages).
+    /// Per stage, only a recovery run counts them.
+    MapPartitionsRecomputed map_partitions_recomputed: Sum, Stage(usize);
+    /// Jobs shed by the admission controller (outcome
+    /// [`JobOutcome::Rejected`]); nothing of a rejected job ever ran.
+    JobsRejected jobs_rejected: Sum, Context;
+    /// Jobs whose `run_with_deadline` budget elapsed (outcome
+    /// [`JobOutcome::Deadlined`]).
+    JobsDeadlined jobs_deadlined: Sum, Context;
+    /// Total nanoseconds jobs spent queued for admission before running.
+    AdmissionQueueWaitNanos admission_queue_wait_nanos: Sum, Context;
+    /// High-water mark of the admission queue length (jobs waiting for
+    /// capacity at once).
+    AdmissionQueuePeak admission_queue_peak: Max, Context;
+    /// Cached partitions dropped by manual eviction
+    /// (`evict_cached_partition`, `Rdd::unpersist`).
+    PartitionsEvicted partitions_evicted: Sum, Context;
+    /// High-water mark of resident cached-partition bytes.
+    CacheHighwaterBytes cache_highwater_bytes: Max, Context;
+    /// High-water mark of total resident memory (cached partitions plus
+    /// shuffle blocks) — the figure the admission controller's
+    /// `memory_high_watermark_bytes` bound is compared against.
+    MemoryHighwaterBytes memory_highwater_bytes: Max, Context;
+    /// Narrow operator chains the planner collapsed into fused streaming
+    /// execution (each spans ≥ 2 operators that no longer materialise
+    /// intermediate partitions). Every run of a stage counts its chains,
+    /// a recovery run too.
+    StagesFused stages_fused: Sum, Stage(usize);
+    /// Shuffle edges rewritten to narrow pass-throughs because the
+    /// map-side parent already carried the target partitioner signature.
+    /// Every run of the stage that executes them counts them, a recovery
+    /// run too.
+    ShufflesElided shuffles_elided: Sum, Stage(usize);
+    /// Reduce buckets merged into shared executor tasks at stage launch
+    /// because their shuffle bytes fell below the coalescing target
+    /// (`num_tasks` minus the task groups scheduled). A recovery run
+    /// resubmits single partitions, so it counts none.
+    PartitionsCoalesced partitions_coalesced: Sum, Stage(usize);
+    /// Speculative duplicate attempts the driver launched: one for each
+    /// tail task that ran past its stage's duration-median multiple, and
+    /// one for each no-progress watchdog trip (also counted in
+    /// `watchdog_trips`).
+    TasksSpeculated tasks_speculated: Sum, Stage(usize);
+    /// Speculative attempts that finished before the original they
+    /// duplicated (the duplicate's result won first-write-wins).
+    SpeculationWins speculation_wins: Sum, Stage(usize);
+    /// Running task bodies asked to stop early through their
+    /// `CancelToken` (speculation losers, job aborts, expired deadlines).
+    TasksCancelled tasks_cancelled: Sum, Stage(usize);
+    /// Blocks demoted from memory to the on-disk spill tier under memory
+    /// pressure (resident cache+shuffle bytes crossed the admission
+    /// watermark). Per stage, like the other two spill counters, it is the
+    /// context-wide activity while the stage's run was in flight.
+    BlocksSpilled blocks_spilled: Sum, Window(usize);
+    /// Spilled blocks read back from disk and reinstated in memory on
+    /// demand (a reduce fetch or cache read touched cold data). Per stage:
+    /// activity during the stage's run.
+    BlocksRehydrated blocks_rehydrated: Sum, Window(usize);
+    /// Cumulative encoded bytes written to the spill tier (framing
+    /// included). Per stage: activity during the stage's run.
+    SpillBytes spill_bytes: Sum, Window(u64);
+    /// High-water mark of bytes resident in the on-disk spill tier (the
+    /// live gauge is `SpangleContext::disk_resident_bytes`).
+    DiskResidentBytes disk_resident_bytes: Max, Context;
+    /// Heartbeat intervals found missed when the monitor declared a busy
+    /// executor lost (each detection adds the full interval count that
+    /// crossed the loss threshold).
+    HeartbeatsMissed heartbeats_missed: Sum, Context;
+    /// Running tasks the no-progress watchdog declared wedged (executor
+    /// heartbeating, progress counter frozen) and duplicated through the
+    /// speculation path.
+    WatchdogTrips watchdog_trips: Sum, Stage(usize);
+    /// Executors drained by the failure-rate quarantine (re-quarantines
+    /// after a failed canary count again).
+    ExecutorsQuarantined executors_quarantined: Sum, Context;
+    /// Cumulative nanoseconds of seeded retry backoff scheduled before
+    /// re-submitted task attempts (retries and recovery resubmissions).
+    BackoffNanos backoff_nanos: Sum, Stage(u64);
+}
+
 /// Cumulative counters maintained by the runtime.
 #[derive(Debug)]
 pub struct Metrics {
-    pub(crate) stages_run: AtomicU64,
-    pub(crate) stages_skipped: AtomicU64,
-    pub(crate) tasks_run: AtomicU64,
-    pub(crate) tasks_stolen: AtomicU64,
-    pub(crate) task_retries: AtomicU64,
-    pub(crate) shuffle_write_bytes: AtomicU64,
-    pub(crate) shuffle_read_bytes: AtomicU64,
-    pub(crate) shuffle_records: AtomicU64,
-    pub(crate) cache_hits: AtomicU64,
-    pub(crate) cache_misses: AtomicU64,
-    pub(crate) recomputations: AtomicU64,
-    pub(crate) broadcast_bytes: AtomicU64,
-    pub(crate) executors_lost: AtomicU64,
-    pub(crate) fetch_failures: AtomicU64,
-    pub(crate) map_partitions_recomputed: AtomicU64,
-    pub(crate) jobs_rejected: AtomicU64,
-    pub(crate) jobs_deadlined: AtomicU64,
-    pub(crate) admission_queue_wait_nanos: AtomicU64,
-    pub(crate) admission_queue_peak: AtomicU64,
-    pub(crate) partitions_evicted: AtomicU64,
-    pub(crate) cache_highwater_bytes: AtomicU64,
-    pub(crate) memory_highwater_bytes: AtomicU64,
-    pub(crate) stages_fused: AtomicU64,
-    pub(crate) shuffles_elided: AtomicU64,
-    pub(crate) partitions_coalesced: AtomicU64,
-    pub(crate) tasks_speculated: AtomicU64,
-    pub(crate) speculation_wins: AtomicU64,
-    pub(crate) tasks_cancelled: AtomicU64,
-    pub(crate) blocks_spilled: AtomicU64,
-    pub(crate) blocks_rehydrated: AtomicU64,
-    pub(crate) spill_bytes: AtomicU64,
-    pub(crate) disk_resident_bytes: AtomicU64,
-    pub(crate) heartbeats_missed: AtomicU64,
-    pub(crate) watchdog_trips: AtomicU64,
-    pub(crate) executors_quarantined: AtomicU64,
-    pub(crate) backoff_nanos: AtomicU64,
-    /// Highest number of stages ever running concurrently in one job.
-    max_concurrent_stages: AtomicU64,
+    /// One cell per [`MetricField`], indexed by the field.
+    counters: [AtomicU64; MetricField::ALL.len()],
     /// Per-job reports, newest last.
     job_reports: Mutex<VecDeque<JobReport>>,
     /// Retained-report cap (oldest dropped beyond it).
@@ -75,49 +336,14 @@ impl Metrics {
     /// reports (oldest dropped first).
     pub(crate) fn with_history(job_report_history: usize) -> Self {
         Metrics {
-            stages_run: AtomicU64::new(0),
-            stages_skipped: AtomicU64::new(0),
-            tasks_run: AtomicU64::new(0),
-            tasks_stolen: AtomicU64::new(0),
-            task_retries: AtomicU64::new(0),
-            shuffle_write_bytes: AtomicU64::new(0),
-            shuffle_read_bytes: AtomicU64::new(0),
-            shuffle_records: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            recomputations: AtomicU64::new(0),
-            broadcast_bytes: AtomicU64::new(0),
-            executors_lost: AtomicU64::new(0),
-            fetch_failures: AtomicU64::new(0),
-            map_partitions_recomputed: AtomicU64::new(0),
-            jobs_rejected: AtomicU64::new(0),
-            jobs_deadlined: AtomicU64::new(0),
-            admission_queue_wait_nanos: AtomicU64::new(0),
-            admission_queue_peak: AtomicU64::new(0),
-            partitions_evicted: AtomicU64::new(0),
-            cache_highwater_bytes: AtomicU64::new(0),
-            memory_highwater_bytes: AtomicU64::new(0),
-            stages_fused: AtomicU64::new(0),
-            shuffles_elided: AtomicU64::new(0),
-            partitions_coalesced: AtomicU64::new(0),
-            tasks_speculated: AtomicU64::new(0),
-            speculation_wins: AtomicU64::new(0),
-            tasks_cancelled: AtomicU64::new(0),
-            blocks_spilled: AtomicU64::new(0),
-            blocks_rehydrated: AtomicU64::new(0),
-            spill_bytes: AtomicU64::new(0),
-            disk_resident_bytes: AtomicU64::new(0),
-            heartbeats_missed: AtomicU64::new(0),
-            watchdog_trips: AtomicU64::new(0),
-            executors_quarantined: AtomicU64::new(0),
-            backoff_nanos: AtomicU64::new(0),
-            max_concurrent_stages: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             job_reports: Mutex::new(VecDeque::new()),
             job_report_history: job_report_history.max(1),
         }
     }
 
     pub(crate) fn add(&self, field: MetricField, amount: u64) {
+        debug_assert_eq!(field.kind(), Kind::Sum, "{}", field.name());
         self.counter(field).fetch_add(amount, Ordering::Relaxed);
     }
 
@@ -125,55 +351,16 @@ impl Metrics {
     /// everything observed so far (the field stays monotone, so snapshot
     /// subtraction is well defined).
     pub(crate) fn raise(&self, field: MetricField, value: u64) {
+        debug_assert_eq!(field.kind(), Kind::Max, "{}", field.name());
         self.counter(field).fetch_max(value, Ordering::Relaxed);
     }
 
     fn counter(&self, field: MetricField) -> &AtomicU64 {
-        match field {
-            MetricField::StagesRun => &self.stages_run,
-            MetricField::StagesSkipped => &self.stages_skipped,
-            MetricField::TasksRun => &self.tasks_run,
-            MetricField::TasksStolen => &self.tasks_stolen,
-            MetricField::TaskRetries => &self.task_retries,
-            MetricField::ShuffleWriteBytes => &self.shuffle_write_bytes,
-            MetricField::ShuffleReadBytes => &self.shuffle_read_bytes,
-            MetricField::ShuffleRecords => &self.shuffle_records,
-            MetricField::CacheHits => &self.cache_hits,
-            MetricField::CacheMisses => &self.cache_misses,
-            MetricField::Recomputations => &self.recomputations,
-            MetricField::BroadcastBytes => &self.broadcast_bytes,
-            MetricField::ExecutorsLost => &self.executors_lost,
-            MetricField::FetchFailures => &self.fetch_failures,
-            MetricField::MapPartitionsRecomputed => &self.map_partitions_recomputed,
-            MetricField::JobsRejected => &self.jobs_rejected,
-            MetricField::JobsDeadlined => &self.jobs_deadlined,
-            MetricField::AdmissionQueueWaitNanos => &self.admission_queue_wait_nanos,
-            MetricField::AdmissionQueuePeak => &self.admission_queue_peak,
-            MetricField::PartitionsEvicted => &self.partitions_evicted,
-            MetricField::CacheHighwaterBytes => &self.cache_highwater_bytes,
-            MetricField::MemoryHighwaterBytes => &self.memory_highwater_bytes,
-            MetricField::StagesFused => &self.stages_fused,
-            MetricField::ShufflesElided => &self.shuffles_elided,
-            MetricField::PartitionsCoalesced => &self.partitions_coalesced,
-            MetricField::TasksSpeculated => &self.tasks_speculated,
-            MetricField::SpeculationWins => &self.speculation_wins,
-            MetricField::TasksCancelled => &self.tasks_cancelled,
-            MetricField::BlocksSpilled => &self.blocks_spilled,
-            MetricField::BlocksRehydrated => &self.blocks_rehydrated,
-            MetricField::SpillBytes => &self.spill_bytes,
-            MetricField::DiskResidentBytes => &self.disk_resident_bytes,
-            MetricField::HeartbeatsMissed => &self.heartbeats_missed,
-            MetricField::WatchdogTrips => &self.watchdog_trips,
-            MetricField::ExecutorsQuarantined => &self.executors_quarantined,
-            MetricField::BackoffNanos => &self.backoff_nanos,
-        }
+        &self.counters[field as usize]
     }
 
-    /// Records a finished job's report, raising the context-wide
-    /// concurrent-stage high-water mark.
+    /// Records a finished job's report.
     pub(crate) fn record_job(&self, report: JobReport) {
-        self.max_concurrent_stages
-            .fetch_max(report.max_concurrent_stages as u64, Ordering::Relaxed);
         let mut reports = self.job_reports.lock();
         while reports.len() >= self.job_report_history {
             reports.pop_front();
@@ -190,89 +377,14 @@ impl Metrics {
     pub fn last_job_report(&self) -> Option<JobReport> {
         self.job_reports.lock().back().cloned()
     }
-
-    /// Copies the current counter values.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            stages_run: self.stages_run.load(Ordering::Relaxed),
-            stages_skipped: self.stages_skipped.load(Ordering::Relaxed),
-            tasks_run: self.tasks_run.load(Ordering::Relaxed),
-            tasks_stolen: self.tasks_stolen.load(Ordering::Relaxed),
-            task_retries: self.task_retries.load(Ordering::Relaxed),
-            shuffle_write_bytes: self.shuffle_write_bytes.load(Ordering::Relaxed),
-            shuffle_read_bytes: self.shuffle_read_bytes.load(Ordering::Relaxed),
-            shuffle_records: self.shuffle_records.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            recomputations: self.recomputations.load(Ordering::Relaxed),
-            broadcast_bytes: self.broadcast_bytes.load(Ordering::Relaxed),
-            executors_lost: self.executors_lost.load(Ordering::Relaxed),
-            fetch_failures: self.fetch_failures.load(Ordering::Relaxed),
-            map_partitions_recomputed: self.map_partitions_recomputed.load(Ordering::Relaxed),
-            jobs_rejected: self.jobs_rejected.load(Ordering::Relaxed),
-            jobs_deadlined: self.jobs_deadlined.load(Ordering::Relaxed),
-            admission_queue_wait_nanos: self.admission_queue_wait_nanos.load(Ordering::Relaxed),
-            admission_queue_peak: self.admission_queue_peak.load(Ordering::Relaxed),
-            partitions_evicted: self.partitions_evicted.load(Ordering::Relaxed),
-            cache_highwater_bytes: self.cache_highwater_bytes.load(Ordering::Relaxed),
-            memory_highwater_bytes: self.memory_highwater_bytes.load(Ordering::Relaxed),
-            stages_fused: self.stages_fused.load(Ordering::Relaxed),
-            shuffles_elided: self.shuffles_elided.load(Ordering::Relaxed),
-            partitions_coalesced: self.partitions_coalesced.load(Ordering::Relaxed),
-            tasks_speculated: self.tasks_speculated.load(Ordering::Relaxed),
-            speculation_wins: self.speculation_wins.load(Ordering::Relaxed),
-            tasks_cancelled: self.tasks_cancelled.load(Ordering::Relaxed),
-            blocks_spilled: self.blocks_spilled.load(Ordering::Relaxed),
-            blocks_rehydrated: self.blocks_rehydrated.load(Ordering::Relaxed),
-            spill_bytes: self.spill_bytes.load(Ordering::Relaxed),
-            disk_resident_bytes: self.disk_resident_bytes.load(Ordering::Relaxed),
-            heartbeats_missed: self.heartbeats_missed.load(Ordering::Relaxed),
-            watchdog_trips: self.watchdog_trips.load(Ordering::Relaxed),
-            executors_quarantined: self.executors_quarantined.load(Ordering::Relaxed),
-            backoff_nanos: self.backoff_nanos.load(Ordering::Relaxed),
-        }
-    }
 }
 
-/// Counter names used internally when bumping [`Metrics`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum MetricField {
-    StagesRun,
-    StagesSkipped,
-    TasksRun,
-    TasksStolen,
-    TaskRetries,
-    ShuffleWriteBytes,
-    ShuffleReadBytes,
-    ShuffleRecords,
-    CacheHits,
-    CacheMisses,
-    Recomputations,
-    BroadcastBytes,
-    ExecutorsLost,
-    FetchFailures,
-    MapPartitionsRecomputed,
-    JobsRejected,
-    JobsDeadlined,
-    AdmissionQueueWaitNanos,
-    AdmissionQueuePeak,
-    PartitionsEvicted,
-    CacheHighwaterBytes,
-    MemoryHighwaterBytes,
-    StagesFused,
-    ShufflesElided,
-    PartitionsCoalesced,
-    TasksSpeculated,
-    SpeculationWins,
-    TasksCancelled,
-    BlocksSpilled,
-    BlocksRehydrated,
-    SpillBytes,
-    DiskResidentBytes,
-    HeartbeatsMissed,
-    WatchdogTrips,
-    ExecutorsQuarantined,
-    BackoffNanos,
+impl MetricsSnapshot {
+    /// Every counter as `(name, value)`, in table order; each name is the
+    /// field's name. The experiment binaries print and export these.
+    pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        MetricField::ALL.iter().map(|&f| (f.name(), self.get(f)))
+    }
 }
 
 /// How one stage of a job ended.
@@ -319,10 +431,6 @@ pub struct StageReport {
     pub shuffle_id: Option<usize>,
     /// Number of tasks the stage owns.
     pub num_tasks: usize,
-    /// Task attempts of this stage that ran on an executor other than the
-    /// one their partition was placed on (stolen, i.e. charged as
-    /// "remote"). Zero when locality held for every attempt.
-    pub tasks_stolen: usize,
     /// Whether the stage ran or was skipped.
     pub outcome: StageOutcome,
     /// Total CPU time spent in this stage's task bodies, summed over
@@ -331,53 +439,9 @@ pub struct StageReport {
     /// Wall-clock time from first submission to last task completion, in
     /// nanoseconds. Zero for skipped stages.
     pub wall_nanos: u64,
-    /// `TaskError::FetchFailed` observations by this stage's tasks: each is
-    /// a reduce-side attempt that found a parent shuffle block lost with
-    /// its executor and was parked until the map output was rebuilt.
-    pub fetch_failures: usize,
-    /// Map partitions of this stage recomputed from lineage during a
-    /// recovery run (zero on the stage's first, full run: the counter
-    /// marks re-runs triggered by fetch failures downstream).
-    pub map_partitions_recomputed: usize,
-    /// Narrow operator chains the planner collapsed into fused streaming
-    /// execution inside this stage's task bodies (each chain spans ≥ 2
-    /// operators that no longer materialise intermediate partitions).
-    pub stages_fused: usize,
-    /// Shuffle edges the planner rewrote to narrow pass-throughs that
-    /// this stage executes locally (the map-side parent already carried
-    /// the target partitioner signature).
-    pub shuffles_elided: usize,
-    /// Reduce buckets this stage merged into shared tasks at launch
-    /// because their recorded shuffle bytes fell below the coalescing
-    /// target: `num_tasks` minus the task groups actually scheduled.
-    pub partitions_coalesced: usize,
-    /// Speculative duplicate attempts launched for this stage's tail
-    /// tasks (originals that ran past the stage's duration-median
-    /// multiple).
-    pub tasks_speculated: usize,
-    /// Speculative attempts of this stage that completed before the
-    /// original they duplicated.
-    pub speculation_wins: usize,
-    /// Task attempts of this stage asked to stop early through their
-    /// `CancelToken` (speculation losers, aborts, expired deadlines).
-    pub tasks_cancelled: usize,
-    /// Blocks the tiered store demoted to the on-disk spill tier while
-    /// this stage ran. Spilling is context-wide, so concurrent stages may
-    /// both observe the same pressure; the attribution is "activity during
-    /// the stage", not strict causality.
-    pub blocks_spilled: usize,
-    /// Spilled blocks promoted back to memory while this stage ran
-    /// (reduce fetches or cache reads touching cold data).
-    pub blocks_rehydrated: usize,
-    /// Encoded bytes written to the spill tier while this stage ran.
-    pub spill_bytes: u64,
-    /// No-progress watchdog trips against this stage's running attempts:
-    /// each launched a speculation-style duplicate of a task whose
-    /// executor still heartbeated but whose progress counter was frozen.
-    pub watchdog_trips: usize,
-    /// Nanoseconds of seeded retry backoff scheduled before this stage's
-    /// re-submitted attempts (retries and recovery resubmissions).
-    pub backoff_nanos: u64,
+    /// The stage-scoped counters of the stage's last run (all zero for a
+    /// skipped stage).
+    pub counters: StageCounters,
 }
 
 /// Scheduler-level accounting of one finished job.
@@ -441,85 +505,6 @@ impl JobReport {
             .iter()
             .filter(|s| s.outcome == StageOutcome::Aborted)
             .count()
-    }
-
-    /// Task attempts of this job that ran away from their placed executor.
-    pub fn tasks_stolen(&self) -> usize {
-        self.stages.iter().map(|s| s.tasks_stolen).sum()
-    }
-
-    /// Reduce-side attempts of this job that observed a lost shuffle block
-    /// (`TaskError::FetchFailed`) and waited out a map recovery.
-    pub fn fetch_failures(&self) -> usize {
-        self.stages.iter().map(|s| s.fetch_failures).sum()
-    }
-
-    /// Map partitions this job recomputed from lineage to replace shuffle
-    /// output lost with a dead executor.
-    pub fn map_partitions_recomputed(&self) -> usize {
-        self.stages
-            .iter()
-            .map(|s| s.map_partitions_recomputed)
-            .sum()
-    }
-
-    /// Narrow operator chains the planner fused across this job's stages.
-    pub fn stages_fused(&self) -> usize {
-        self.stages.iter().map(|s| s.stages_fused).sum()
-    }
-
-    /// Shuffle edges the planner elided across this job's stages.
-    pub fn shuffles_elided(&self) -> usize {
-        self.stages.iter().map(|s| s.shuffles_elided).sum()
-    }
-
-    /// Reduce buckets merged into shared tasks across this job's stages.
-    pub fn partitions_coalesced(&self) -> usize {
-        self.stages.iter().map(|s| s.partitions_coalesced).sum()
-    }
-
-    /// Speculative duplicate attempts launched across this job's stages.
-    pub fn tasks_speculated(&self) -> usize {
-        self.stages.iter().map(|s| s.tasks_speculated).sum()
-    }
-
-    /// Speculative attempts that beat the original across this job's
-    /// stages.
-    pub fn speculation_wins(&self) -> usize {
-        self.stages.iter().map(|s| s.speculation_wins).sum()
-    }
-
-    /// Task attempts of this job cancelled through their token.
-    pub fn tasks_cancelled(&self) -> usize {
-        self.stages.iter().map(|s| s.tasks_cancelled).sum()
-    }
-
-    /// Blocks demoted to the on-disk spill tier while this job's stages
-    /// ran (see [`StageReport::blocks_spilled`] for attribution caveats).
-    pub fn blocks_spilled(&self) -> usize {
-        self.stages.iter().map(|s| s.blocks_spilled).sum()
-    }
-
-    /// Spilled blocks promoted back to memory while this job's stages ran.
-    pub fn blocks_rehydrated(&self) -> usize {
-        self.stages.iter().map(|s| s.blocks_rehydrated).sum()
-    }
-
-    /// Encoded bytes written to the spill tier while this job's stages ran.
-    pub fn spill_bytes(&self) -> u64 {
-        self.stages.iter().map(|s| s.spill_bytes).sum()
-    }
-
-    /// No-progress watchdog trips across this job's stages (each
-    /// duplicated a wedged-looking task through the speculation path).
-    pub fn watchdog_trips(&self) -> usize {
-        self.stages.iter().map(|s| s.watchdog_trips).sum()
-    }
-
-    /// Nanoseconds of seeded retry backoff scheduled across this job's
-    /// re-submitted attempts.
-    pub fn backoff_nanos(&self) -> u64 {
-        self.stages.iter().map(|s| s.backoff_nanos).sum()
     }
 
     /// Busy-time imbalance across executors: max/mean of
@@ -631,15 +616,19 @@ impl std::fmt::Display for JobReport {
                         "\n  stage {:>3} {kind:<16} {:>3} tasks ({:>2} stolen)  task {:>8.2} ms  wall {:>8.2} ms",
                         s.stage_id,
                         s.num_tasks,
-                        s.tasks_stolen,
+                        s.counters.tasks_stolen,
                         s.task_nanos as f64 / 1e6,
                         s.wall_nanos as f64 / 1e6,
                     )?;
-                    if s.map_partitions_recomputed != 0 {
-                        write!(f, "  [recovered {} maps]", s.map_partitions_recomputed)?;
+                    if s.counters.map_partitions_recomputed != 0 {
+                        write!(
+                            f,
+                            "  [recovered {} maps]",
+                            s.counters.map_partitions_recomputed
+                        )?;
                     }
-                    if s.fetch_failures != 0 {
-                        write!(f, "  [{} fetch failures]", s.fetch_failures)?;
+                    if s.counters.fetch_failures != 0 {
+                        write!(f, "  [{} fetch failures]", s.counters.fetch_failures)?;
                     }
                 }
                 StageOutcome::Skipped => {
@@ -669,159 +658,6 @@ impl std::fmt::Display for JobReport {
     }
 }
 
-/// A point-in-time copy of all counters. Subtract two snapshots to get the
-/// cost of one job.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Stages whose tasks actually ran.
-    pub stages_run: u64,
-    /// Map stages skipped because their shuffle output already existed.
-    pub stages_skipped: u64,
-    /// Task attempts started (including retries).
-    pub tasks_run: u64,
-    /// Task attempts that ran on an executor other than the one their
-    /// partition was placed on (work stealing).
-    pub tasks_stolen: u64,
-    /// Task attempts re-submitted after a failure.
-    pub task_retries: u64,
-    /// Deep bytes written to the shuffle service.
-    pub shuffle_write_bytes: u64,
-    /// Deep bytes fetched from the shuffle service.
-    pub shuffle_read_bytes: u64,
-    /// Records written to the shuffle service.
-    pub shuffle_records: u64,
-    /// Persisted partitions served from the block store.
-    pub cache_hits: u64,
-    /// Persisted partitions that had to be (re)computed.
-    pub cache_misses: u64,
-    /// Partitions recomputed due to task retries.
-    pub recomputations: u64,
-    /// Bytes replicated to executors by broadcasts.
-    pub broadcast_bytes: u64,
-    /// Executors killed (each loss discards the incarnation's shuffle
-    /// blocks and cached partitions and seats a replacement).
-    pub executors_lost: u64,
-    /// Reduce-side fetches that found a shuffle block lost with its
-    /// executor (`TaskError::FetchFailed`).
-    pub fetch_failures: u64,
-    /// Map partitions recomputed from lineage to rebuild lost shuffle
-    /// output (only the missing partitions re-run, never whole stages).
-    pub map_partitions_recomputed: u64,
-    /// Jobs shed by the admission controller (outcome
-    /// [`JobOutcome::Rejected`]); nothing of a rejected job ever ran.
-    pub jobs_rejected: u64,
-    /// Jobs whose `run_with_deadline` budget elapsed (outcome
-    /// [`JobOutcome::Deadlined`]).
-    pub jobs_deadlined: u64,
-    /// Total nanoseconds jobs spent queued for admission before running.
-    pub admission_queue_wait_nanos: u64,
-    /// High-water mark of the admission queue length (jobs waiting for
-    /// capacity at once).
-    pub admission_queue_peak: u64,
-    /// Cached partitions dropped by manual eviction (`evict_cached_partition`,
-    /// `Rdd::unpersist`).
-    pub partitions_evicted: u64,
-    /// High-water mark of resident cached-partition bytes.
-    pub cache_highwater_bytes: u64,
-    /// High-water mark of total resident memory (cached partitions plus
-    /// shuffle blocks) — the figure the admission controller's
-    /// `memory_high_watermark_bytes` bound is compared against.
-    pub memory_highwater_bytes: u64,
-    /// Narrow operator chains the planner collapsed into fused streaming
-    /// execution (no intermediate partition materialisation).
-    pub stages_fused: u64,
-    /// Shuffle edges rewritten to narrow pass-throughs because the
-    /// map-side parent already carried the target partitioner signature.
-    pub shuffles_elided: u64,
-    /// Reduce buckets merged into shared executor tasks at stage launch
-    /// because their shuffle bytes fell below the coalescing target.
-    pub partitions_coalesced: u64,
-    /// Speculative duplicate attempts the driver launched for tail tasks
-    /// that ran past the stage's duration-median multiple.
-    pub tasks_speculated: u64,
-    /// Speculative attempts that finished before the original they
-    /// duplicated (the duplicate's result won first-write-wins).
-    pub speculation_wins: u64,
-    /// Running task bodies asked to stop early through their
-    /// `CancelToken` (speculation losers, job aborts, expired deadlines).
-    pub tasks_cancelled: u64,
-    /// Blocks demoted from memory to the on-disk spill tier under memory
-    /// pressure (resident cache+shuffle bytes crossed the admission
-    /// watermark).
-    pub blocks_spilled: u64,
-    /// Spilled blocks read back from disk and reinstated in memory on
-    /// demand (a reduce fetch or cache read touched cold data).
-    pub blocks_rehydrated: u64,
-    /// Cumulative encoded bytes written to the spill tier (framing
-    /// included).
-    pub spill_bytes: u64,
-    /// High-water mark of bytes resident in the on-disk spill tier (kept
-    /// monotone like the other high-water fields so snapshot subtraction
-    /// stays well defined; the live gauge is
-    /// `SpangleContext::disk_resident_bytes`).
-    pub disk_resident_bytes: u64,
-    /// Heartbeat intervals found missed when the monitor declared a busy
-    /// executor lost (each detection adds the full interval count that
-    /// crossed the loss threshold).
-    pub heartbeats_missed: u64,
-    /// Running tasks the no-progress watchdog declared wedged and
-    /// duplicated through the speculation path.
-    pub watchdog_trips: u64,
-    /// Executors drained by the failure-rate quarantine (re-quarantines
-    /// after a failed canary count again).
-    pub executors_quarantined: u64,
-    /// Cumulative nanoseconds of seeded retry backoff scheduled before
-    /// re-submitted task attempts.
-    pub backoff_nanos: u64,
-}
-
-impl std::ops::Sub for MetricsSnapshot {
-    type Output = MetricsSnapshot;
-
-    fn sub(self, rhs: MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            stages_run: self.stages_run - rhs.stages_run,
-            stages_skipped: self.stages_skipped - rhs.stages_skipped,
-            tasks_run: self.tasks_run - rhs.tasks_run,
-            tasks_stolen: self.tasks_stolen - rhs.tasks_stolen,
-            task_retries: self.task_retries - rhs.task_retries,
-            shuffle_write_bytes: self.shuffle_write_bytes - rhs.shuffle_write_bytes,
-            shuffle_read_bytes: self.shuffle_read_bytes - rhs.shuffle_read_bytes,
-            shuffle_records: self.shuffle_records - rhs.shuffle_records,
-            cache_hits: self.cache_hits - rhs.cache_hits,
-            cache_misses: self.cache_misses - rhs.cache_misses,
-            recomputations: self.recomputations - rhs.recomputations,
-            broadcast_bytes: self.broadcast_bytes - rhs.broadcast_bytes,
-            executors_lost: self.executors_lost - rhs.executors_lost,
-            fetch_failures: self.fetch_failures - rhs.fetch_failures,
-            map_partitions_recomputed: self.map_partitions_recomputed
-                - rhs.map_partitions_recomputed,
-            jobs_rejected: self.jobs_rejected - rhs.jobs_rejected,
-            jobs_deadlined: self.jobs_deadlined - rhs.jobs_deadlined,
-            admission_queue_wait_nanos: self.admission_queue_wait_nanos
-                - rhs.admission_queue_wait_nanos,
-            admission_queue_peak: self.admission_queue_peak - rhs.admission_queue_peak,
-            partitions_evicted: self.partitions_evicted - rhs.partitions_evicted,
-            cache_highwater_bytes: self.cache_highwater_bytes - rhs.cache_highwater_bytes,
-            memory_highwater_bytes: self.memory_highwater_bytes - rhs.memory_highwater_bytes,
-            stages_fused: self.stages_fused - rhs.stages_fused,
-            shuffles_elided: self.shuffles_elided - rhs.shuffles_elided,
-            partitions_coalesced: self.partitions_coalesced - rhs.partitions_coalesced,
-            tasks_speculated: self.tasks_speculated - rhs.tasks_speculated,
-            speculation_wins: self.speculation_wins - rhs.speculation_wins,
-            tasks_cancelled: self.tasks_cancelled - rhs.tasks_cancelled,
-            blocks_spilled: self.blocks_spilled - rhs.blocks_spilled,
-            blocks_rehydrated: self.blocks_rehydrated - rhs.blocks_rehydrated,
-            spill_bytes: self.spill_bytes - rhs.spill_bytes,
-            disk_resident_bytes: self.disk_resident_bytes - rhs.disk_resident_bytes,
-            heartbeats_missed: self.heartbeats_missed - rhs.heartbeats_missed,
-            watchdog_trips: self.watchdog_trips - rhs.watchdog_trips,
-            executors_quarantined: self.executors_quarantined - rhs.executors_quarantined,
-            backoff_nanos: self.backoff_nanos - rhs.backoff_nanos,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -837,6 +673,50 @@ mod tests {
         assert_eq!(delta.tasks_run, 5);
         assert_eq!(delta.shuffle_write_bytes, 1024);
         assert_eq!(delta.stages_run, 0);
+
+        // Every counter maps to its own cell and its own snapshot field:
+        // give field `i` the value `i + 1` and read each back by name.
+        let m = Metrics::default();
+        for (i, &field) in MetricField::ALL.iter().enumerate() {
+            match field.kind() {
+                Kind::Sum => m.add(field, i as u64 + 1),
+                Kind::Max => m.raise(field, i as u64 + 1),
+            }
+        }
+        let snap = m.snapshot();
+        let fields: Vec<(&str, u64)> = snap.fields().collect();
+        let expected: Vec<(&str, u64)> = MetricField::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (f.name(), i as u64 + 1))
+            .collect();
+        assert_eq!(fields, expected);
+        let names: std::collections::HashSet<&str> = fields.iter().map(|&(n, _)| n).collect();
+        assert_eq!(names.len(), MetricField::ALL.len(), "names are unique");
+        // The names are the snapshot's own field names, in order: its
+        // derived Debug output prints each field as `name: value`.
+        let listed: Vec<String> = fields.iter().map(|(n, v)| format!("{n}: {v}")).collect();
+        assert_eq!(
+            format!("{snap:?}"),
+            format!("MetricsSnapshot {{ {} }}", listed.join(", "))
+        );
+
+        // The stage-scoped rows are exactly the fields of StageCounters.
+        let mut stage = StageCounters::default();
+        for &field in MetricField::ALL {
+            if field.scope() == Scope::Stage {
+                stage.add(field, snap.get(field));
+            }
+        }
+        let stage = stage.with_window(&snap, &MetricsSnapshot::default());
+        let stage_fields: Vec<(&str, u64)> = stage.fields().collect();
+        let expected: Vec<(&str, u64)> = fields
+            .iter()
+            .zip(MetricField::ALL)
+            .filter(|(_, f)| f.scope() != Scope::Context)
+            .map(|(&pair, _)| pair)
+            .collect();
+        assert_eq!(stage_fields, expected);
     }
 
     fn empty_report(job_id: usize) -> JobReport {
@@ -886,23 +766,13 @@ mod tests {
             stage_id: 0,
             shuffle_id: None,
             num_tasks: 2,
-            tasks_stolen: 1,
             outcome,
             task_nanos: 0,
             wall_nanos: 0,
-            fetch_failures: 0,
-            map_partitions_recomputed: 0,
-            stages_fused: 0,
-            shuffles_elided: 0,
-            partitions_coalesced: 0,
-            tasks_speculated: 0,
-            speculation_wins: 0,
-            tasks_cancelled: 0,
-            blocks_spilled: 0,
-            blocks_rehydrated: 0,
-            spill_bytes: 0,
-            watchdog_trips: 0,
-            backoff_nanos: 0,
+            counters: StageCounters {
+                tasks_stolen: 1,
+                ..StageCounters::default()
+            },
         };
         let report = JobReport {
             job_id: 1,
@@ -938,23 +808,21 @@ mod tests {
             stage_id: 0,
             shuffle_id: Some(1),
             num_tasks: 4,
-            tasks_stolen: 0,
             outcome,
             task_nanos: 5_000_000,
             wall_nanos: 0,
-            fetch_failures: 0,
-            map_partitions_recomputed: 0,
-            stages_fused: 1,
-            shuffles_elided: 0,
-            partitions_coalesced: 0,
-            tasks_speculated: 1,
-            speculation_wins: 1,
-            tasks_cancelled: 1,
-            blocks_spilled: 2,
-            blocks_rehydrated: 1,
-            spill_bytes: 4096,
-            watchdog_trips: 1,
-            backoff_nanos: 2_000_000,
+            counters: StageCounters {
+                stages_fused: 1,
+                tasks_speculated: 1,
+                speculation_wins: 1,
+                tasks_cancelled: 1,
+                blocks_spilled: 2,
+                blocks_rehydrated: 1,
+                spill_bytes: 4096,
+                watchdog_trips: 1,
+                backoff_nanos: 2_000_000,
+                ..StageCounters::default()
+            },
         };
         let report = JobReport {
             job_id: 2,

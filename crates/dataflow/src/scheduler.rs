@@ -53,7 +53,7 @@
 //!
 //! Tasks are *placed* on the executor owning their partition but may be
 //! stolen by an idle sibling (see [`crate::executor`]); stolen attempts
-//! are charged as remote in the job's [`StageReport::tasks_stolen`] and
+//! are charged as remote in the job's [`StageCounters::tasks_stolen`] and
 //! the per-executor busy times recorded in each [`JobReport`].
 //!
 //! Failure semantics: failed task attempts retry up to the context's limit
@@ -93,7 +93,9 @@ use crate::executor::{
 };
 use crate::failure::TaskSite;
 use crate::health::{jittered_backoff, splitmix64, HealthBoard, STATE_HEALTHY};
-use crate::metrics::{JobOutcome, JobReport, MetricField, StageOutcome, StageReport};
+use crate::metrics::{
+    JobOutcome, JobReport, MetricField, MetricsSnapshot, StageCounters, StageOutcome, StageReport,
+};
 use crate::plan;
 use crate::rdd::pair::ShuffleDepDyn;
 use crate::rdd::{Dependency, LineageNode, Rdd};
@@ -344,27 +346,14 @@ struct Stage {
     remaining: usize,
     /// Summed task CPU time over all attempts.
     task_nanos: u64,
-    /// Attempts that ran on a non-home executor (work stealing).
-    tasks_stolen: usize,
     started: Option<Instant>,
     /// Attempts parked on a fetch failure as `(partition, attempt,
     /// parent_shuffle_id)`: still counted in `remaining`, replayed (same
     /// attempt number) once the parent shuffle's lost maps are rebuilt.
     pending_retry: Vec<(usize, usize, usize)>,
-    /// Fetch failures observed by this stage's attempts in its current run.
-    fetch_failures: usize,
-    /// Map partitions this stage recomputed in its current run (non-zero
-    /// only for recovery re-runs).
-    recovered_maps: usize,
-    /// Narrow operator chains the planner collapsed into this stage's
-    /// fused task bodies (see [`plan::analyze_stages`]).
-    fused_chains: usize,
-    /// Shuffle edges rewritten to narrow pass-throughs that this stage
-    /// executes locally instead of through the shuffle service.
-    elided_shuffles: usize,
-    /// Reduce partitions merged into shared task groups in this stage's
-    /// current run (`num_tasks` minus scheduled task groups).
-    partitions_coalesced: usize,
+    /// The planner's rewrites inside this stage's task bodies (see
+    /// [`plan::analyze_stages`]); every run counts them.
+    plan: plan::StagePlan,
     /// Live attempts of this stage's current run, keyed by partition.
     inflight: HashMap<usize, Vec<Attempt>>,
     /// Completed-attempt durations (nanoseconds) of the current run; the
@@ -374,24 +363,11 @@ struct Stage {
     /// events (the cancelled half of a speculation race) are losers: their
     /// time is accounted, nothing else.
     finished: HashSet<usize>,
-    /// Speculative duplicates launched in this stage's current run.
-    tasks_speculated: usize,
-    /// Duplicates that completed before the original they raced.
-    speculation_wins: usize,
-    /// Attempts of this stage cancelled through their token.
-    tasks_cancelled: usize,
-    /// No-progress watchdog trips in this stage's current run: attempts
-    /// whose executor kept heartbeating while their progress counter froze,
-    /// duplicated through the speculation path.
-    watchdog_trips: usize,
-    /// Nanoseconds of scheduled retry backoff charged to this stage's
-    /// current run (delays are scheduled on the driver's timer, so this is
-    /// planned delay, not thread sleep).
-    backoff_nanos: u64,
-    /// Context-wide (blocks_spilled, blocks_rehydrated, spill_bytes)
-    /// counters captured when this stage's current run was submitted; the
-    /// stage report carries the delta observed while it ran.
-    spill_baseline: (u64, u64, u64),
+    /// The stage-scoped counters of the current run.
+    counters: StageCounters,
+    /// Context-wide counters captured when the current run started; the
+    /// report's spill counters are the activity observed since.
+    spill_baseline: MetricsSnapshot,
 }
 
 /// Everything that flows into the shared driver loop. Each message arrives
@@ -1156,23 +1132,14 @@ fn build_stages<T: Data, R: Send + 'static>(
             waiting_on: 0,
             remaining: 0,
             task_nanos: 0,
-            tasks_stolen: 0,
             started: None,
             pending_retry: Vec::new(),
-            fetch_failures: 0,
-            recovered_maps: 0,
-            fused_chains: plans[idx].fused_chains,
-            elided_shuffles: plans[idx].elided_shuffles,
-            partitions_coalesced: 0,
+            plan: plans[idx],
             inflight: HashMap::new(),
             durations: Vec::new(),
             finished: HashSet::new(),
-            tasks_speculated: 0,
-            speculation_wins: 0,
-            tasks_cancelled: 0,
-            watchdog_trips: 0,
-            backoff_nanos: 0,
-            spill_baseline: (0, 0, 0),
+            counters: StageCounters::default(),
+            spill_baseline: MetricsSnapshot::default(),
         });
     }
 
@@ -1214,23 +1181,14 @@ fn build_stages<T: Data, R: Send + 'static>(
         waiting_on: 0,
         remaining: 0,
         task_nanos: 0,
-        tasks_stolen: 0,
         started: None,
         pending_retry: Vec::new(),
-        fetch_failures: 0,
-        recovered_maps: 0,
-        fused_chains: plans[result_idx].fused_chains,
-        elided_shuffles: plans[result_idx].elided_shuffles,
-        partitions_coalesced: 0,
+        plan: plans[result_idx],
         inflight: HashMap::new(),
         durations: Vec::new(),
         finished: HashSet::new(),
-        tasks_speculated: 0,
-        speculation_wins: 0,
-        tasks_cancelled: 0,
-        watchdog_trips: 0,
-        backoff_nanos: 0,
-        spill_baseline: (0, 0, 0),
+        counters: StageCounters::default(),
+        spill_baseline: MetricsSnapshot::default(),
     });
     stages
 }
@@ -1405,7 +1363,7 @@ impl JobRun {
                 outcome,
             } => {
                 self.stages[stage_idx].task_nanos += nanos;
-                self.stages[stage_idx].tasks_stolen += stolen as usize;
+                self.stages[stage_idx].counters.tasks_stolen += usize::from(stolen);
                 self.executor_busy[ran_on] += nanos;
                 self.queue_wait_nanos += wait_nanos;
                 // Retire this event's inflight record. No record, or a
@@ -1423,8 +1381,7 @@ impl JobRun {
                         self.stages[stage_idx].finished.insert(partition);
                         self.stages[stage_idx].durations.push(nanos);
                         if speculative {
-                            self.stages[stage_idx].speculation_wins += 1;
-                            self.ctx.metrics().add(MetricField::SpeculationWins, 1);
+                            self.bump(stage_idx, MetricField::SpeculationWins, 1);
                         }
                         // First completion wins the partition; the slower
                         // twin (if racing) is cancelled and its eventual
@@ -1545,34 +1502,13 @@ impl JobRun {
 
     /// Marks a stage satisfied-without-running and accounts the skip.
     fn skip(&mut self, idx: usize) {
+        let snap = self.ctx.metrics_snapshot();
         let stage = &mut self.stages[idx];
         stage.state = StageState::Skipped;
         stage.stage_id = self.ctx.new_stage_id();
         self.ctx.metrics().add(MetricField::StagesSkipped, 1);
-        self.reports.push(StageReport {
-            stage_id: stage.stage_id,
-            shuffle_id: stage.shuffle_id,
-            num_tasks: stage.num_tasks,
-            tasks_stolen: 0,
-            outcome: StageOutcome::Skipped,
-            task_nanos: 0,
-            wall_nanos: 0,
-            fetch_failures: 0,
-            map_partitions_recomputed: 0,
-            // A skipped stage executed nothing, so none of its planned
-            // rewrites ran.
-            stages_fused: 0,
-            shuffles_elided: 0,
-            partitions_coalesced: 0,
-            tasks_speculated: 0,
-            speculation_wins: 0,
-            tasks_cancelled: 0,
-            watchdog_trips: 0,
-            backoff_nanos: 0,
-            blocks_spilled: 0,
-            blocks_rehydrated: 0,
-            spill_bytes: 0,
-        });
+        self.reports
+            .push(stage.report(StageOutcome::Skipped, &snap));
     }
 
     /// Subscribes to an in-flight external shuffle: when the owning job
@@ -1597,62 +1533,61 @@ impl JobRun {
     /// Submits every task of a stage to the executor pool, grouped by the
     /// runtime coalescing plan when the stage reads shuffle output.
     fn submit_stage(&mut self, idx: usize) -> Result<(), JobError> {
-        let snap = self.ctx.metrics_snapshot();
-        let stage = &mut self.stages[idx];
-        stage.stage_id = self.ctx.new_stage_id();
-        stage.state = StageState::Running;
-        stage.remaining = stage.num_tasks;
-        // A stage can run more than once per job (a watched external
-        // shuffle abandoned mid-recovery forces a full re-run); reset the
-        // per-run accounting so the new run's report starts clean.
-        stage.task_nanos = 0;
-        stage.tasks_stolen = 0;
-        stage.fetch_failures = 0;
-        stage.recovered_maps = 0;
-        stage.partitions_coalesced = 0;
-        stage.inflight.clear();
-        stage.durations.clear();
-        stage.finished.clear();
-        stage.tasks_speculated = 0;
-        stage.speculation_wins = 0;
-        stage.tasks_cancelled = 0;
-        stage.watchdog_trips = 0;
-        stage.backoff_nanos = 0;
-        stage.spill_baseline = (
-            snap.blocks_spilled,
-            snap.blocks_rehydrated,
-            snap.spill_bytes,
-        );
-        stage.started = Some(Instant::now());
-        self.ctx.metrics().add(MetricField::StagesRun, 1);
-        if stage.fused_chains > 0 {
-            self.ctx
-                .metrics()
-                .add(MetricField::StagesFused, stage.fused_chains as u64);
-        }
-        if stage.elided_shuffles > 0 {
-            self.ctx
-                .metrics()
-                .add(MetricField::ShufflesElided, stage.elided_shuffles as u64);
-        }
-        self.running += 1;
-        self.max_concurrent = self.max_concurrent.max(self.running);
         let num_tasks = self.stages[idx].num_tasks;
+        self.begin_run(idx, num_tasks);
         if num_tasks == 0 {
             return self.finish_stage(idx);
         }
         let groups = self.plan_task_groups(idx);
         if groups.len() < num_tasks {
             let merged = num_tasks - groups.len();
-            self.stages[idx].partitions_coalesced = merged;
-            self.ctx
-                .metrics()
-                .add(MetricField::PartitionsCoalesced, merged as u64);
+            self.bump(idx, MetricField::PartitionsCoalesced, merged as u64);
         }
         for group in groups {
             self.submit_attempts(idx, group, 0)?;
         }
         Ok(())
+    }
+
+    /// Starts a run of stage `idx` with `remaining` tasks outstanding: a
+    /// fresh stage id and zeroed per-run accounting (a stage can run more
+    /// than once per job — a map recovery, or a watched external shuffle
+    /// abandoned mid-recovery), and the run and its planned rewrites
+    /// counted.
+    fn begin_run(&mut self, idx: usize, remaining: usize) {
+        let snap = self.ctx.metrics_snapshot();
+        let stage = &mut self.stages[idx];
+        stage.stage_id = self.ctx.new_stage_id();
+        stage.state = StageState::Running;
+        stage.remaining = remaining;
+        stage.task_nanos = 0;
+        stage.inflight.clear();
+        stage.durations.clear();
+        stage.finished.clear();
+        stage.counters = StageCounters::default();
+        stage.spill_baseline = snap;
+        stage.started = Some(Instant::now());
+        let plan = stage.plan;
+        self.ctx.metrics().add(MetricField::StagesRun, 1);
+        if plan.fused_chains > 0 {
+            self.bump(idx, MetricField::StagesFused, plan.fused_chains as u64);
+        }
+        if plan.elided_shuffles > 0 {
+            self.bump(
+                idx,
+                MetricField::ShufflesElided,
+                plan.elided_shuffles as u64,
+            );
+        }
+        self.running += 1;
+        self.max_concurrent = self.max_concurrent.max(self.running);
+    }
+
+    /// Counts `amount` of a stage-scoped counter against stage `idx`'s
+    /// current run and the context together.
+    fn bump(&mut self, idx: usize, field: MetricField, amount: u64) {
+        self.stages[idx].counters.add(field, amount);
+        self.ctx.metrics().add(field, amount);
     }
 
     /// Partition grouping for one stage run. When runtime coalescing is on
@@ -1996,32 +1931,27 @@ impl JobRun {
         for a in &attempts {
             a.token.cancel();
         }
-        self.stages[stage_idx].tasks_cancelled += attempts.len();
-        self.ctx
-            .metrics()
-            .add(MetricField::TasksCancelled, attempts.len() as u64);
+        self.bump(
+            stage_idx,
+            MetricField::TasksCancelled,
+            attempts.len() as u64,
+        );
     }
 
     /// Cancels every running attempt of every stage: job aborts and
     /// expired deadlines must not leave wedged task bodies holding
     /// executors hostage until they finish on their own.
     fn cancel_all_inflight(&mut self) {
-        let mut cancelled = 0u64;
-        for stage in &mut self.stages {
-            for attempts in stage.inflight.values() {
-                for a in attempts {
-                    a.token.cancel();
-                }
+        for idx in 0..self.stages.len() {
+            let inflight = std::mem::take(&mut self.stages[idx].inflight);
+            let mut cancelled = 0;
+            for a in inflight.values().flatten() {
+                a.token.cancel();
+                cancelled += 1;
             }
-            let n: usize = stage.inflight.values().map(Vec::len).sum();
-            stage.tasks_cancelled += n;
-            cancelled += n as u64;
-            stage.inflight.clear();
-        }
-        if cancelled > 0 {
-            self.ctx
-                .metrics()
-                .add(MetricField::TasksCancelled, cancelled);
+            if cancelled > 0 {
+                self.bump(idx, MetricField::TasksCancelled, cancelled);
+            }
         }
     }
 
@@ -2086,10 +2016,11 @@ impl JobRun {
         if delay.is_zero() {
             return self.submit_task(stage_idx, partition, attempt);
         }
-        self.stages[stage_idx].backoff_nanos += delay.as_nanos() as u64;
-        self.ctx
-            .metrics()
-            .add(MetricField::BackoffNanos, delay.as_nanos() as u64);
+        self.bump(
+            stage_idx,
+            MetricField::BackoffNanos,
+            delay.as_nanos() as u64,
+        );
         self.delayed
             .push((Instant::now() + delay, stage_idx, partition, attempt));
         Ok(())
@@ -2217,10 +2148,8 @@ impl JobRun {
                 .observed
                 .retain(|key, _| key.0 != self.job_id || seen.contains(key));
             for (idx, partition, attempt) in trips {
-                self.stages[idx].watchdog_trips += 1;
-                self.stages[idx].tasks_speculated += 1;
-                self.ctx.metrics().add(MetricField::WatchdogTrips, 1);
-                self.ctx.metrics().add(MetricField::TasksSpeculated, 1);
+                self.bump(idx, MetricField::WatchdogTrips, 1);
+                self.bump(idx, MetricField::TasksSpeculated, 1);
                 self.submit_speculative(idx, partition, attempt)?;
             }
         }
@@ -2264,8 +2193,7 @@ impl JobRun {
             }
         }
         for (idx, partition, attempt) in launch {
-            self.stages[idx].tasks_speculated += 1;
-            self.ctx.metrics().add(MetricField::TasksSpeculated, 1);
+            self.bump(idx, MetricField::TasksSpeculated, 1);
             self.submit_speculative(idx, partition, attempt)?;
         }
         Ok(())
@@ -2278,10 +2206,6 @@ impl JobRun {
         let stage = &mut self.stages[idx];
         stage.state = StageState::Finished;
         self.running -= 1;
-        let wall_nanos = stage
-            .started
-            .map(|s| s.elapsed().as_nanos() as u64)
-            .unwrap_or(0);
         if let Some(shuffle_id) = stage.shuffle_id {
             // The returned missing-map list can be non-empty here: an
             // executor killed between a map task's completion and stage
@@ -2295,28 +2219,7 @@ impl JobRun {
                 .mark_completed(shuffle_id, stage.num_tasks);
             self.owned.remove(&shuffle_id);
         }
-        self.reports.push(StageReport {
-            stage_id: stage.stage_id,
-            shuffle_id: stage.shuffle_id,
-            num_tasks: stage.num_tasks,
-            tasks_stolen: stage.tasks_stolen,
-            outcome: StageOutcome::Ran,
-            task_nanos: stage.task_nanos,
-            wall_nanos,
-            fetch_failures: stage.fetch_failures,
-            map_partitions_recomputed: stage.recovered_maps,
-            stages_fused: stage.fused_chains,
-            shuffles_elided: stage.elided_shuffles,
-            partitions_coalesced: stage.partitions_coalesced,
-            tasks_speculated: stage.tasks_speculated,
-            speculation_wins: stage.speculation_wins,
-            tasks_cancelled: stage.tasks_cancelled,
-            watchdog_trips: stage.watchdog_trips,
-            backoff_nanos: stage.backoff_nanos,
-            blocks_spilled: (snap.blocks_spilled - stage.spill_baseline.0) as usize,
-            blocks_rehydrated: (snap.blocks_rehydrated - stage.spill_baseline.1) as usize,
-            spill_bytes: snap.spill_bytes - stage.spill_baseline.2,
-        });
+        self.reports.push(stage.report(StageOutcome::Ran, &snap));
         self.satisfy_children(idx)
     }
 
@@ -2375,8 +2278,7 @@ impl JobRun {
         shuffle_id: usize,
         map_id: usize,
     ) -> Result<(), JobError> {
-        self.ctx.metrics().add(MetricField::FetchFailures, 1);
-        self.stages[stage_idx].fetch_failures += 1;
+        self.bump(stage_idx, MetricField::FetchFailures, 1);
         self.charge_resubmission(
             stage_idx,
             partition,
@@ -2433,36 +2335,13 @@ impl JobRun {
             .shuffle_id
             .expect("map recovery targets a shuffle stage");
         self.owned.insert(shuffle_id);
-        let snap = self.ctx.metrics_snapshot();
-        let stage = &mut self.stages[idx];
-        stage.claim = Some(claim);
-        stage.stage_id = self.ctx.new_stage_id();
-        stage.state = StageState::Running;
-        stage.remaining = missing.len();
-        stage.task_nanos = 0;
-        stage.tasks_stolen = 0;
-        stage.fetch_failures = 0;
-        stage.recovered_maps = missing.len();
-        stage.inflight.clear();
-        stage.durations.clear();
-        stage.finished.clear();
-        stage.tasks_speculated = 0;
-        stage.speculation_wins = 0;
-        stage.tasks_cancelled = 0;
-        stage.watchdog_trips = 0;
-        stage.backoff_nanos = 0;
-        stage.spill_baseline = (
-            snap.blocks_spilled,
-            snap.blocks_rehydrated,
-            snap.spill_bytes,
+        self.stages[idx].claim = Some(claim);
+        self.begin_run(idx, missing.len());
+        self.bump(
+            idx,
+            MetricField::MapPartitionsRecomputed,
+            missing.len() as u64,
         );
-        stage.started = Some(Instant::now());
-        self.ctx.metrics().add(MetricField::StagesRun, 1);
-        self.ctx
-            .metrics()
-            .add(MetricField::MapPartitionsRecomputed, missing.len() as u64);
-        self.running += 1;
-        self.max_concurrent = self.max_concurrent.max(self.running);
         for partition in missing {
             self.submit_task(idx, partition, 0)?;
         }
@@ -2547,31 +2426,7 @@ impl JobRun {
             .stages
             .iter()
             .filter(|stage| stage.state == StageState::Running)
-            .map(|stage| StageReport {
-                stage_id: stage.stage_id,
-                shuffle_id: stage.shuffle_id,
-                num_tasks: stage.num_tasks,
-                tasks_stolen: stage.tasks_stolen,
-                outcome: StageOutcome::Aborted,
-                task_nanos: stage.task_nanos,
-                wall_nanos: stage
-                    .started
-                    .map(|s| s.elapsed().as_nanos() as u64)
-                    .unwrap_or(0),
-                fetch_failures: stage.fetch_failures,
-                map_partitions_recomputed: stage.recovered_maps,
-                stages_fused: stage.fused_chains,
-                shuffles_elided: stage.elided_shuffles,
-                partitions_coalesced: stage.partitions_coalesced,
-                tasks_speculated: stage.tasks_speculated,
-                speculation_wins: stage.speculation_wins,
-                tasks_cancelled: stage.tasks_cancelled,
-                watchdog_trips: stage.watchdog_trips,
-                backoff_nanos: stage.backoff_nanos,
-                blocks_spilled: (snap.blocks_spilled - stage.spill_baseline.0) as usize,
-                blocks_rehydrated: (snap.blocks_rehydrated - stage.spill_baseline.1) as usize,
-                spill_bytes: snap.spill_bytes - stage.spill_baseline.2,
-            })
+            .map(|stage| stage.report(StageOutcome::Aborted, &snap))
             .collect();
         self.reports.extend(aborted);
         self.record(outcome);
@@ -2601,6 +2456,30 @@ impl Stage {
     /// Whether dependents of this stage can read its shuffle output.
     fn is_satisfied(&self) -> bool {
         matches!(self.state, StageState::Finished | StageState::Skipped)
+    }
+
+    /// The stage's entry in its job's report, given the context's counters
+    /// `now`. A finished or aborted stage reports its current run; a
+    /// skipped one ran nothing in this job, so it reports no time and zero
+    /// counters.
+    fn report(&self, outcome: StageOutcome, now: &MetricsSnapshot) -> StageReport {
+        let ran = outcome != StageOutcome::Skipped;
+        StageReport {
+            stage_id: self.stage_id,
+            shuffle_id: self.shuffle_id,
+            num_tasks: self.num_tasks,
+            outcome,
+            task_nanos: if ran { self.task_nanos } else { 0 },
+            wall_nanos: match self.started {
+                Some(started) if ran => started.elapsed().as_nanos() as u64,
+                _ => 0,
+            },
+            counters: if ran {
+                self.counters.with_window(now, &self.spill_baseline)
+            } else {
+                StageCounters::default()
+            },
+        }
     }
 }
 

@@ -2,7 +2,10 @@
 //! broadcast variables inside jobs, stage reuse across actions, metrics
 //! plumbing, and executor-loss fault tolerance.
 
-use spangle_dataflow::{BackendKind, HashPartitioner, JobOutcome, PairRdd, SpangleContext};
+use spangle_dataflow::{
+    BackendKind, HashPartitioner, JobOutcome, JobReport, MetricsSnapshot, PairRdd, SpangleContext,
+    SpeculationConfig,
+};
 use std::sync::Arc;
 
 fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
@@ -237,6 +240,46 @@ fn killing_an_executor_between_map_and_reduce_recomputes_only_its_maps() {
     assert_eq!(report.map_partitions_recomputed(), 1);
 }
 
+/// Every stage-scoped counter of `report` sums, over its stages, to the
+/// job's snapshot `delta`, recovery runs included. The spill counters are
+/// the exception: they report the context-wide activity seen while each
+/// stage ran.
+fn assert_stage_counters_sum_to_delta(report: &JobReport, delta: &MetricsSnapshot) {
+    let mut sums: Vec<(&str, u64)> = Vec::new();
+    for stage in &report.stages {
+        for (i, (name, value)) in stage.counters.fields().enumerate() {
+            match sums.get_mut(i) {
+                Some(sum) => sum.1 += value,
+                None => sums.push((name, value)),
+            }
+        }
+    }
+    let spill_window = ["blocks_spilled", "blocks_rehydrated", "spill_bytes"];
+    sums.retain(|(name, _)| !spill_window.contains(name));
+    assert_eq!(sums.len(), 11, "{sums:?}");
+    for (name, sum) in sums {
+        let value = delta.fields().find(|&(n, _)| n == name).unwrap().1;
+        assert_eq!(
+            sum, value,
+            "{name}: job report {report}, snapshot delta {delta:?}"
+        );
+    }
+}
+
+/// Speculation off and the planner on, whatever the environment says.
+fn planned_without_speculation(executors: usize) -> SpangleContext {
+    SpangleContext::builder()
+        .executors(executors)
+        .speculation(SpeculationConfig {
+            enabled: false,
+            ..SpeculationConfig::default()
+        })
+        .fuse_narrow_chains(true)
+        .elide_shuffles(true)
+        .coalesce_partitions(true)
+        .build()
+}
+
 /// Mid-job executor loss: the injector kills executor 1 right after it
 /// finishes its reduce-side task of the first shuffle, while the job is
 /// still running. The attempt comes back as `ExecutorLost`, its replay
@@ -245,10 +288,16 @@ fn killing_an_executor_between_map_and_reduce_recomputes_only_its_maps() {
 /// the correct result.
 #[test]
 fn mid_job_executor_kill_recovers_through_lineage() {
-    let ctx = SpangleContext::new(2);
+    // The job's stage reports must add up to its snapshot delta, with the
+    // recovered map stage's fused chain counted in both.
+    let ctx = planned_without_speculation(2);
     let out = {
+        // The map and filter fuse into one chain on the first shuffle's
+        // map side, so the recovery run below re-runs a fused chain.
         let first = ctx
-            .parallelize((0u64..100).map(|i| (i % 4, i)).collect(), 2)
+            .parallelize((0u64..100).collect(), 2)
+            .map(|i| (i % 4, i))
+            .filter(|_| true)
             .reduce_by_key(Arc::new(HashPartitioner::new(2)), |a, b| a + b);
         // A second shuffle so the first one's reduce runs mid-job: the
         // identity re-keying defeats co-partitioning, forcing a real
@@ -269,6 +318,13 @@ fn mid_job_executor_kill_recovers_through_lineage() {
         assert_eq!(delta.executors_lost, 1);
         assert!(delta.fetch_failures >= 1, "{delta:?}");
         assert_eq!(delta.map_partitions_recomputed, 1, "{delta:?}");
+
+        let report = ctx.last_job_report().unwrap();
+        assert_stage_counters_sum_to_delta(&report, &delta);
+        assert!(
+            report.stages_fused() >= 2,
+            "the recovery run re-ran the fused chain: {report}"
+        );
         out
     };
     // Key k sums i over i ≡ k (mod 4), i < 100: 25k + 1200; doubled by
@@ -279,6 +335,39 @@ fn mid_job_executor_kill_recovers_through_lineage() {
         ctx.failure_injector().is_drained(),
         "the armed executor kill must have fired"
     );
+}
+
+/// A map stage whose first run coalesced its reduce buckets, then lost
+/// its output: its recovery run resubmits single partitions and starts
+/// from zeroed counters, so the report does not repeat the first run's
+/// coalescing. One executor makes the order of task bodies, and so the
+/// kill, deterministic.
+#[test]
+fn recovery_run_of_a_coalesced_stage_counts_from_zero() {
+    let ctx = planned_without_speculation(1);
+    let second = ctx
+        .parallelize((0u64..100).map(|i| (i % 8, i)).collect(), 4)
+        .reduce_by_key(Arc::new(HashPartitioner::new(4)), |a, b| a + b)
+        .map(|(k, v)| (k + 1, v))
+        .reduce_by_key(Arc::new(HashPartitioner::new(2)), |a, b| a + b);
+    // Bodies 1-4 are the first map stage, 5-8 the second (its four tiny
+    // buckets coalesced into one task), 9 the first result partition:
+    // the kill after it loses both shuffles' output.
+    ctx.failure_injector().kill_executor_after(0, 9);
+    let before = ctx.metrics_snapshot();
+    let out = sorted(second.collect().unwrap());
+    let delta = ctx.metrics_snapshot() - before;
+    assert_eq!(out.iter().map(|&(_, v)| v).sum::<u64>(), 4950);
+    assert_eq!(delta.executors_lost, 1, "{delta:?}");
+    let report = ctx.last_job_report().unwrap();
+    let recovered = report
+        .stages
+        .iter()
+        .filter(|s| s.counters.map_partitions_recomputed > 0)
+        .count();
+    assert_eq!(recovered, 2, "both map stages re-ran: {report}");
+    assert!(delta.partitions_coalesced > 0, "{delta:?}");
+    assert_stage_counters_sum_to_delta(&report, &delta);
 }
 
 /// Injector composition: `fail_task` and `kill_executor_after` armed on

@@ -11,8 +11,9 @@
 #   scripts/check.sh --quick          full gate minus the release build
 #   scripts/check.sh <step> [...]     run only the named steps, in order
 #
-# Steps: fmt clippy build test planoff specoff spill health healthoff
-# proc doc stress bench benchmark
+# Steps (each is the run_<step> function of the same name; a new step is
+# one more function plus its name here): fmt clippy build test planoff
+# specoff spill health healthoff proc doc stress bench benchmark
 # (proc, stress, bench and benchmark are CI-job-only: they are not part of
 # the default full gate because of their runtime.)
 set -euo pipefail
@@ -184,8 +185,12 @@ steps=()
 for arg in "$@"; do
     case "$arg" in
     --quick) steps+=(fmt clippy test planoff specoff spill health healthoff doc) ;;
-    fmt | clippy | build | test | planoff | specoff | spill | health | healthoff | proc | doc | stress | bench | benchmark) steps+=("$arg") ;;
-    -h | --help | *) usage ;;
+    -h | --help) usage ;;
+    *)
+        # A step is any run_<name> function above.
+        declare -F "run_$arg" >/dev/null || usage
+        steps+=("$arg")
+        ;;
     esac
 done
 if [ ${#steps[@]} -eq 0 ]; then
